@@ -1,14 +1,17 @@
 // Benchmark driver: measures one campaign workload in this process.
 //
-//   otis_perfbench --spec SPEC.json --out DIR --threads P --seconds T
-//                  [--trace]
+//   otis_perfbench --spec SPEC.json [--spec SPEC.json ...] --out DIR
+//                  --threads P --seconds T [--trace]
+//   otis_perfbench --rss --spec SPEC.json --out DIR --threads P
 //
-// The spec is generated by run.py from the workload name and seed; this
-// program only receives it. It repeats measurement rounds until T
-// seconds have passed (at least kMinRounds rounds) and prints one JSON
-// object with every raw sample; run.py turns the samples into medians.
+// The specs are generated by run.py from the workload name and seed; this
+// program only receives them. A workload is one or more campaigns (its
+// parts), run one after another in every round. The program repeats
+// measurement rounds until T seconds have passed (at least kMinRounds
+// rounds) and prints one JSON object with every raw sample, each tagged
+// with its round and part; run.py turns the samples into medians.
 //
-// A round without --trace runs the workload twice, in alternating order:
+// A round without --trace runs each part twice, in alternating order:
 //  - "campaign": parse + CampaignRunner::run with its file sinks, exactly
 //    what campaign_runner does -> wall_s;
 //  - "direct": the same cells driven through the pieces the runner is
@@ -20,6 +23,10 @@
 // spec has them) and a direct pass whose calls into topology, routing,
 // sim and workload are each timed here. The Chrome-trace sink stays off:
 // it would switch checkpoints off and change the work being measured.
+//
+// With --rss the program runs one campaign of its spec and reports the
+// peak resident set, so run.py can read each part's peak in a fresh
+// process.
 //
 // Every pass reduces each cell's simulated statistics to a digest row and
 // checks range invariants on it; run.py compares the digests across
@@ -39,6 +46,10 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "campaign/grid.hpp"
 #include "campaign/runner.hpp"
@@ -632,6 +643,33 @@ DirectPass run_direct(const std::string& spec_text, int threads,
 
 // ------------------------------------------------------------ campaign pass
 
+/// Peak resident set (VmHWM) of this process in MiB.
+double peak_rss_mib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmHWM:") {
+      double kib = 0.0;
+      status >> kib;
+      return kib / 1024.0;
+    }
+    status.ignore(1 << 16, '\n');
+  }
+  return 0.0;
+}
+
+/// Returns the heap freed so far to the system, then resets this
+/// process's VmHWM to its current resident set, so that the next
+/// peak_rss_mib() reads the peak of what ran in between. Without
+/// /proc/self/clear_refs the peak stays process-lifetime.
+void reset_peak_rss() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+  std::ofstream clear("/proc/self/clear_refs");
+  clear << "5";
+}
+
 struct CampaignPass {
   double parse_s = 0.0;
   double wall_s = 0.0;
@@ -670,31 +708,33 @@ CampaignPass run_campaign(const std::string& spec_text,
   return pass;
 }
 
-/// Aggregates of the runtime channel's raw rows (runtime.jsonl).
+/// Sums over the runtime channel's raw rows (runtime.jsonl). They add
+/// across the parts of a workload; run.py forms the ratios.
 struct RuntimeRows {
-  double pool_busy_frac = 0.0;
+  double work_ns = 0.0;
+  double wait_ns = 0.0;
+  double busy_ns = 0.0;
+  double worker_wall_ns = 0.0;
   double pool_steals = 0.0;
-  double shard_work_s = 0.0;
-  double barrier_wait_frac = 0.0;
-  double shard_imbalance = 0.0;
+  double imbalance_sum = 0.0;  ///< Σ over sharded cells of peak / mean work
+  double sharded_cells = 0.0;
   double windows = 0.0;
-  double lookahead_use_frac = 0.0;
+  double lookahead_used = 0.0;
+  double lookahead_available = 0.0;
   double mailbox_msgs = 0.0;
   double mailbox_bytes = 0.0;
   double calendar_peak = 0.0;
 };
 
-/// Reads `shard` and `workers` rows. Imbalance is each cell's slowest
-/// shard's work over its mean shard work, averaged over sharded cells;
-/// the wait share is total barrier wait over total shard time. Both come
-/// from work_ns/barrier_wait_ns directly, not from the cell_summary blame.
+/// Reads `shard` and `workers` rows. A cell's imbalance is its slowest
+/// shard's work over its mean shard work; like the barrier wait share it
+/// comes from work_ns/barrier_wait_ns directly, not from the cell_summary
+/// blame.
 RuntimeRows read_runtime_rows(const std::string& path) {
   RuntimeRows rows;
   std::ifstream in(path);
   OTIS_REQUIRE(in.good(), "perfbench: cannot read " + path);
   std::map<std::string, std::vector<double>> work_by_cell;
-  double wait_ns = 0.0, work_ns = 0.0, busy_ns = 0.0, worker_wall_ns = 0.0;
-  double used = 0.0, available = 0.0;
   std::map<std::string, double> windows_by_cell;
   std::string line;
   while (std::getline(in, line)) {
@@ -707,31 +747,21 @@ RuntimeRows read_runtime_rows(const std::string& path) {
       const std::string cell = row.at("cell").as_string();
       const double work = row.at("work_ns").as_number();
       work_by_cell[cell].push_back(work);
-      work_ns += work;
-      wait_ns += row.at("barrier_wait_ns").as_number();
+      rows.work_ns += work;
+      rows.wait_ns += row.at("barrier_wait_ns").as_number();
       double& windows = windows_by_cell[cell];
       windows = std::max(windows, row.at("windows").as_number());
-      used += row.at("lookahead_used").as_number();
-      available += row.at("lookahead_available").as_number();
+      rows.lookahead_used += row.at("lookahead_used").as_number();
+      rows.lookahead_available += row.at("lookahead_available").as_number();
       rows.mailbox_msgs += row.at("mailbox_msgs_sent").as_number();
       rows.mailbox_bytes += row.at("mailbox_bytes_sent").as_number();
       rows.calendar_peak =
           std::max(rows.calendar_peak, row.at("calendar_peak").as_number());
     } else if (type == "workers") {
-      busy_ns += row.at("busy_ns").as_number();
-      worker_wall_ns += row.at("wall_ns").as_number();
+      rows.busy_ns += row.at("busy_ns").as_number();
+      rows.worker_wall_ns += row.at("wall_ns").as_number();
       rows.pool_steals += row.at("steals").as_number();
     }
-  }
-  rows.shard_work_s = work_ns * 1e-9;
-  if (work_ns + wait_ns > 0.0) {
-    rows.barrier_wait_frac = wait_ns / (work_ns + wait_ns);
-  }
-  if (worker_wall_ns > 0.0) {
-    rows.pool_busy_frac = busy_ns / worker_wall_ns;
-  }
-  if (available > 0.0) {
-    rows.lookahead_use_frac = used / available;
   }
   for (const auto& [cell, works] : work_by_cell) {
     double sum = 0.0, peak = 0.0;
@@ -740,11 +770,9 @@ RuntimeRows read_runtime_rows(const std::string& path) {
       peak = std::max(peak, w);
     }
     if (sum > 0.0) {
-      rows.shard_imbalance += peak * static_cast<double>(works.size()) / sum;
+      rows.imbalance_sum += peak * static_cast<double>(works.size()) / sum;
+      rows.sharded_cells += 1.0;
     }
-  }
-  if (!work_by_cell.empty()) {
-    rows.shard_imbalance /= static_cast<double>(work_by_cell.size());
   }
   for (const auto& [cell, windows] : windows_by_cell) {
     rows.windows += windows;
@@ -776,21 +804,6 @@ double first_blob_bytes(const std::string& spec_text, int threads,
 }
 
 // ------------------------------------------------------------ reporting
-
-/// Peak resident set (VmHWM) of this process in MiB.
-double peak_rss_mib() {
-  std::ifstream status("/proc/self/status");
-  std::string key;
-  while (status >> key) {
-    if (key == "VmHWM:") {
-      double kib = 0.0;
-      status >> kib;
-      return kib / 1024.0;
-    }
-    status.ignore(1 << 16, '\n');
-  }
-  return 0.0;
-}
 
 /// Minimal JSON object writer for the sample dump.
 class JsonOut {
@@ -844,9 +857,12 @@ class JsonOut {
   std::string text_;
 };
 
-std::string direct_json(const char* kind, const DirectPass& p) {
+std::string direct_json(const char* kind, int round, int part,
+                        const DirectPass& p) {
   JsonOut out;
   out.str("pass", kind)
+      .num("round", round)
+      .num("part", part)
       .nums("setup_s", p.setup_s)
       .num("construct_s", p.construct_s)
       .num("run_wall_s", p.run_wall_s)
@@ -871,21 +887,27 @@ std::string direct_json(const char* kind, const DirectPass& p) {
   return out.done();
 }
 
-std::string campaign_json(const char* kind, const CampaignPass& p) {
+std::string campaign_json(const char* kind, int round, int part,
+                          const CampaignPass& p) {
   JsonOut out;
   out.str("pass", kind)
+      .num("round", round)
+      .num("part", part)
       .num("parse_s", p.parse_s)
       .num("wall_s", p.wall_s)
       .checks(p.checks);
   if (!p.runtime_path.empty()) {
     const RuntimeRows r = read_runtime_rows(p.runtime_path);
-    out.num("pool_busy_frac", r.pool_busy_frac)
+    out.num("work_ns", r.work_ns)
+        .num("wait_ns", r.wait_ns)
+        .num("busy_ns", r.busy_ns)
+        .num("worker_wall_ns", r.worker_wall_ns)
         .num("pool_steals", r.pool_steals)
-        .num("shard_work_s", r.shard_work_s)
-        .num("barrier_wait_frac", r.barrier_wait_frac)
-        .num("shard_imbalance", r.shard_imbalance)
+        .num("imbalance_sum", r.imbalance_sum)
+        .num("sharded_cells", r.sharded_cells)
         .num("windows", r.windows)
-        .num("lookahead_use_frac", r.lookahead_use_frac)
+        .num("lookahead_used", r.lookahead_used)
+        .num("lookahead_available", r.lookahead_available)
         .num("mailbox_msgs", r.mailbox_msgs)
         .num("mailbox_bytes", r.mailbox_bytes)
         .num("calendar_peak", r.calendar_peak);
@@ -894,11 +916,12 @@ std::string campaign_json(const char* kind, const CampaignPass& p) {
 }
 
 struct Args {
-  std::string spec_path;
+  std::vector<std::string> spec_paths;
   fs::path out_dir;
   int threads = 1;
   double seconds = 10.0;
   bool trace = false;
+  bool rss = false;
 };
 
 Args parse_args(int argc, char** argv) {
@@ -910,7 +933,7 @@ Args parse_args(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--spec") {
-      args.spec_path = value();
+      args.spec_paths.push_back(value());
     } else if (flag == "--out") {
       args.out_dir = value();
     } else if (flag == "--threads") {
@@ -919,11 +942,13 @@ Args parse_args(int argc, char** argv) {
       args.seconds = std::stod(value());
     } else if (flag == "--trace") {
       args.trace = true;
+    } else if (flag == "--rss") {
+      args.rss = true;
     } else {
       throw otis::core::Error("perfbench: unknown flag " + flag);
     }
   }
-  OTIS_REQUIRE(!args.spec_path.empty() && !args.out_dir.empty(),
+  OTIS_REQUIRE(!args.spec_paths.empty() && !args.out_dir.empty(),
                "perfbench: --spec and --out are required");
   OTIS_REQUIRE(args.threads >= 1, "perfbench: --threads must be >= 1");
   return args;
@@ -934,60 +959,88 @@ Args parse_args(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     const Args args = parse_args(argc, argv);
-    const std::string spec_text = read_file(args.spec_path);
-    const CampaignSpec spec = otis::campaign::parse_campaign_spec(spec_text);
-    const std::vector<std::int64_t> packets = packets_by_cell(spec);
-    const fs::path out = args.out_dir;
-    std::vector<std::string> passes;
-    double rss_mib = 0.0;
-    auto campaign = [&](const char* kind, const char* dir,
-                        const std::function<void(CampaignSpec&)>& edit) {
-      CampaignPass pass =
-          run_campaign(spec_text, packets, args.threads, out / dir, edit);
-      if (rss_mib == 0.0) {
-        // What a fresh campaign_runner process peaks at. Later passes
-        // start from heap the earlier ones left behind, so VmHWM is read
-        // once, after the process's first campaign.
-        rss_mib = peak_rss_mib();
-      }
-      passes.push_back(campaign_json(kind, pass));
+    /// One campaign of the workload.
+    struct Part {
+      std::string text;
+      CampaignSpec spec;
+      std::vector<std::int64_t> packets;
     };
-    auto direct = [&](const char* kind, bool traced) {
+    std::vector<Part> parts;
+    for (const std::string& path : args.spec_paths) {
+      Part part;
+      part.text = read_file(path);
+      part.spec = otis::campaign::parse_campaign_spec(part.text);
+      part.packets = packets_by_cell(part.spec);
+      parts.push_back(std::move(part));
+    }
+    const fs::path out = args.out_dir;
+    if (args.rss) {
+      // One campaign of the first part in this fresh process: its peak
+      // resident set, without heap that other passes left behind.
+      reset_peak_rss();
+      const CampaignPass pass = run_campaign(
+          parts.front().text, parts.front().packets, args.threads, out / "c");
+      const double rss_mib = peak_rss_mib();
+      fs::remove_all(out);
+      JsonOut result;
+      result.num("peak_rss_mib", rss_mib)
+          .raw("passes", "[" + campaign_json("campaign_rss", 0, 0, pass) + "]");
+      std::cout << result.done() << std::endl;
+      return 0;
+    }
+    std::vector<std::string> passes;
+    int rounds = 0;
+    auto campaign = [&](int k, const char* kind, const char* dir,
+                        const std::function<void(CampaignSpec&)>& edit) {
+      const Part& part = parts[static_cast<std::size_t>(k)];
+      const CampaignPass pass =
+          run_campaign(part.text, part.packets, args.threads, out / dir, edit);
+      passes.push_back(campaign_json(kind, rounds, k, pass));
+    };
+    auto direct = [&](int k, const char* kind, bool traced) {
       passes.push_back(direct_json(
-          kind, run_direct(spec_text, args.threads, out / "d", traced)));
+          kind, rounds, k,
+          run_direct(parts[static_cast<std::size_t>(k)].text, args.threads,
+                     out / "d", traced)));
     };
     const auto start = Clock::now();
-    int rounds = 0;
     // Rounds continue while another one is expected to end in time.
     while (rounds < kMinRounds ||
            seconds_since(start) * (rounds + 1) / rounds <= args.seconds) {
-      if (!args.trace) {
-        // Alternate the order so neither pass always runs on a cache
-        // the other warmed.
-        const bool campaign_first = rounds % 2 == 0;
-        if (campaign_first) {
-          campaign("campaign", "c", {});
+      for (int k = 0; k < static_cast<int>(parts.size()); ++k) {
+        if (!args.trace) {
+          // Alternate the order so neither pass always runs on a cache
+          // the other warmed.
+          const bool campaign_first = rounds % 2 == 0;
+          if (campaign_first) {
+            campaign(k, "campaign", "c", {});
+          }
+          direct(k, "direct", false);
+          if (!campaign_first) {
+            campaign(k, "campaign", "c", {});
+          }
+          continue;
         }
-        direct("direct", false);
-        if (!campaign_first) {
-          campaign("campaign", "c", {});
-        }
-      } else {
-        campaign("campaign", "c", {});
-        campaign("campaign_traced", "t", [](CampaignSpec& s) {
+        campaign(k, "campaign", "c", {});
+        campaign(k, "campaign_traced", "t", [](CampaignSpec& s) {
           s.runtime_stats_path = "runtime.jsonl";
         });
-        if (spec.checkpoint_every > 0) {
-          campaign("campaign_no_checkpoint", "n",
+        if (parts[static_cast<std::size_t>(k)].spec.checkpoint_every > 0) {
+          campaign(k, "campaign_no_checkpoint", "n",
                    [](CampaignSpec& s) { s.checkpoint_every = 0; });
         }
-        direct("direct_traced", true);
+        direct(k, "direct_traced", true);
       }
       ++rounds;
     }
     double blob_bytes = 0.0;
-    if (args.trace && spec.checkpoint_every > 0) {
-      blob_bytes = first_blob_bytes(spec_text, args.threads, out / "drill");
+    if (args.trace) {
+      for (const Part& part : parts) {
+        if (part.spec.checkpoint_every > 0) {
+          blob_bytes = first_blob_bytes(part.text, args.threads, out / "drill");
+          break;
+        }
+      }
     }
     fs::remove_all(out);
 
@@ -997,11 +1050,10 @@ int main(int argc, char** argv) {
       joined += (i ? "," : "") + passes[i];
     }
     result.num("rounds", rounds)
+        .num("parts", static_cast<double>(parts.size()))
         .num("threads", args.threads)
         .num("measured_s", seconds_since(start))
-        .num("peak_rss_mib", rss_mib)
         .num("blob_bytes", blob_bytes)
-        .num("checkpoint_every", static_cast<double>(spec.checkpoint_every))
         .str("compiler", __VERSION__)
         .raw("passes", joined + "]");
     std::cout << result.done() << std::endl;
