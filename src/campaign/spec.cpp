@@ -129,21 +129,65 @@ TopologySpec TopologySpec::stack_imase_itoh(std::int64_t s, std::int64_t d,
 }
 
 std::int64_t TopologySpec::processor_count() const {
+  const auto overflow = [this]() {
+    return core::Error("CampaignSpec: topology " + label() +
+                       " has more processors than fit in 64 bits");
+  };
+  const auto mul = [&](std::int64_t a, std::int64_t b) {
+    std::int64_t product = 0;
+    if (__builtin_mul_overflow(a, b, &product)) {
+      throw overflow();
+    }
+    return product;
+  };
   switch (kind) {
     case Kind::kStackKautz: {
       // N = s * d^(k-1) * (d+1), the Kautz order times the stacking.
-      std::int64_t groups = degree + 1;
-      for (std::int64_t i = 1; i < order; ++i) {
-        groups *= degree;
+      std::int64_t groups = 0;
+      if (__builtin_add_overflow(degree, 1, &groups)) {
+        throw overflow();
       }
-      return stacking * groups;
+      // d = 1 or a zero product cannot change groups again; any other
+      // d overflows within 64 steps, however large k is.
+      for (std::int64_t i = 1; i < order && degree != 1 && groups != 0; ++i) {
+        groups = mul(groups, degree);
+      }
+      return mul(stacking, groups);
     }
     case Kind::kPops:
-      return stacking * order;
+      return mul(stacking, order);
     case Kind::kStackImaseItoh:
-      return stacking * order;
+      return mul(stacking, order);
   }
   return 0;
+}
+
+void TopologySpec::validate() const {
+  const auto require_at_least = [this](std::int64_t value, std::int64_t low,
+                                       const char* field) {
+    if (value < low) {
+      throw core::Error("CampaignSpec: topology " + label() + " field \"" +
+                        field + "\" must be >= " + std::to_string(low) +
+                        " (got " + std::to_string(value) + ")");
+    }
+  };
+  switch (kind) {
+    case Kind::kStackKautz:
+      require_at_least(stacking, 1, "s");
+      require_at_least(degree, 1, "d");
+      require_at_least(order, 1, "k");
+      break;
+    case Kind::kPops:
+      require_at_least(stacking, 1, "t");
+      require_at_least(order, 1, "g");
+      break;
+    case Kind::kStackImaseItoh:
+      require_at_least(stacking, 1, "s");
+      require_at_least(degree, 1, "d");
+      require_at_least(order, degree, "n");
+      break;
+  }
+  (void)processor_count();
 }
 
 std::string TopologySpec::label() const {
@@ -450,6 +494,9 @@ std::int64_t CampaignSpec::cell_count() const {
 
 void CampaignSpec::validate() const {
   OTIS_REQUIRE(!topologies.empty(), "CampaignSpec: topologies must be set");
+  for (const TopologySpec& topology : topologies) {
+    topology.validate();
+  }
   OTIS_REQUIRE(!arbitrations.empty(),
                "CampaignSpec: arbitrations must be non-empty");
   OTIS_REQUIRE(!traffics.empty(), "CampaignSpec: traffic must be non-empty");

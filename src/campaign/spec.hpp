@@ -57,8 +57,14 @@ struct TopologySpec {
 
   /// Processor count N by arithmetic alone -- SK: s*d^(k-1)*(d+1),
   /// POPS: t*g, SII: s*n -- so RouteTable::kAuto can resolve before the
-  /// (possibly huge) network is ever built.
+  /// (possibly huge) network is ever built. Throws core::Error when N
+  /// does not fit in 64 bits.
   [[nodiscard]] std::int64_t processor_count() const;
+
+  /// Throws core::Error naming the first parameter out of its family's
+  /// range (s, d, k >= 1 for SK; t, g >= 1 for POPS; s, d >= 1 and
+  /// n >= d for SII) or an overflowing processor count.
+  void validate() const;
 
   [[nodiscard]] bool operator==(const TopologySpec& other) const noexcept {
     return kind == other.kind && stacking == other.stacking &&

@@ -1,56 +1,40 @@
 #pragma once
 /// \file calendar_queue.hpp
-/// Calendar queue: the O(1)-amortized rewrite of the EventQueue's
-/// pending-event set (Brown 1988), stored structure-of-arrays.
+/// Calendar queue (Brown 1988): the async engines' pending-event set, at
+/// O(1) amortized per operation where std::priority_queue pays O(log n)
+/// cache-missing comparisons. Events hash by time into a year of day
+/// buckets (a day starts one slot, kTicksPerSlot ticks, long); a push
+/// appends to its day and a pop walks the calendar day by day. Pop order
+/// is a pure function of (time, seq) -- the EventQueue's FIFO tie-break
+/// -- so async runs stay bit-reproducible whatever the layout does.
 ///
-/// std::priority_queue pays O(log n) pointer-hopping comparisons per
-/// operation; with ~10^6 in-flight propagation events that log factor
-/// (and its cache misses) dominates an async simulation. A calendar
-/// queue hashes events by time into an array of day buckets -- here the
-/// bucket width starts at one slot (kTicksPerSlot ticks), the natural
-/// unit of a slotted OPS network -- so scheduling is an O(1) append
-/// into the right bucket and popping walks the calendar day by day.
+/// A day has two parts. Its first kInline entries sit in one flat slab,
+/// with fill counts and flags in byte arrays that stay in L2: a push
+/// there is one store plus a counter bump, and the part is sorted
+/// descending once, when the day is next examined, so each pop is a
+/// decrement. Further entries go to a growable segment, ascending and
+/// popped from a head index; a pop takes the earlier of the two fronts.
+/// A day borrows its segment from a pool and returns it, capacity and
+/// all, once drained, so a recurring flood reuses a warm buffer.
 ///
-/// Storage is a flat slab, not a vector of vectors: every bucket owns
-/// kSlots fixed entry slots inside one contiguous array, with per-bucket
-/// fill counts and dirty flags in byte-sized side arrays small enough to
-/// live in L2. A push is then one write into the slab plus one hot
-/// counter update -- a single cold cache line -- where a per-bucket
-/// std::vector costs two dependent misses (header, then heap block) and
-/// a malloc each time a day's vector first fills. The rare bucket that
-/// overflows its kSlots spills into a single shared binary min-heap;
-/// peek/pop compare the calendar's head with the heap's root, so
-/// correctness never depends on the spill staying small (a pathological
-/// all-same-day flood just degrades to the heap's O(log n)).
+/// Same-tick floods are the async engines' steady state: under a const
+/// timing profile every transmission of slot s lands on one tick, which
+/// no day split can separate, so one day absorbs a whole slot's batch.
+/// That is why overflow stays per day: a shared overflow heap would pay
+/// O(log n) for every event of a flood. A segment holds a sorted run
+/// plus an unsorted tail: pushes in (time, seq) order -- one producer's
+/// flood, one shard's keyed pushes -- extend the run and are never
+/// sorted; others wait in the tail until the day is next examined, then
+/// are sorted and merged in.
 ///
-/// Bucket segments are *lazily sorted*: pushes append unsorted, and a
-/// segment is sorted descending by (time, seq) once, when its day first
-/// drains -- after which every pop is a decrement. The (time, seq)
-/// order preserves the EventQueue's FIFO tie-break exactly, keeping
-/// async runs bit-reproducible.
+/// Rescaling (a variant of Brown's rule) tracks the days the events
+/// span, from now to the latest time ever pushed: past kTargetOccupancy
+/// events per effective day, the year doubles (when the span fills it)
+/// or the days halve (down to one tick). Each rebuild doubles the
+/// effective day count, so rebuild work is a geometric series.
 ///
-/// The calendar rescales itself (a variant of Brown's rule) against the
-/// days the events actually span: when the pending count outgrows the
-/// occupied span, it either doubles the year length (more buckets, when
-/// the span already fills the year) or halves the bucket width (finer
-/// days, when the span is shorter than the year), down to one-tick
-/// days. Both track the *event horizon* -- the latest time ever pushed
-/// -- because days beyond the horizon cannot thin any bucket. Each
-/// rebuild at least doubles the effective day count, so total rebuild
-/// work is a geometric series bounded by the event span; pop order is a
-/// pure function of (time, seq), so rescaling never changes it. The
-/// occupancy target (kTargetOccupancy per day) is set well under kSlots
-/// so spills stay exponentially rare in steady state.
-///
-/// find_min() results are memoized: peek() caches the minimum bucket
-/// and pop() keeps the cache while the next entry stays in the current
-/// day, so the peek-then-pop cycle of the async engine costs one
-/// calendar walk, not two.
-///
-/// The payload is a template parameter: the AsyncEngine stores plain
-/// structs (no per-event std::function allocation), the benchmarks
-/// store integers, and a std::function instantiation would behave like
-/// the classic EventQueue.
+/// peek() memoizes the minimum's bucket and pop() keeps it while the
+/// next entry stays in the same day, so a peek-then-pop costs one walk.
 
 #include <algorithm>
 #include <cstddef>
@@ -77,9 +61,10 @@ class CalendarQueue {
   /// two (bucket lookup is a shift and a mask, no division).
   explicit CalendarQueue(SimTime bucket_width = kTicksPerSlot,
                          std::size_t initial_buckets = 64)
-      : slab_(initial_buckets * kSlots),
+      : slab_(initial_buckets * kInline),
         counts_(initial_buckets, 0),
-        dirty_(initial_buckets, 0) {
+        flags_(initial_buckets, 0),
+        segment_of_(initial_buckets, 0) {
     OTIS_REQUIRE(bucket_width > 0 &&
                      (bucket_width & (bucket_width - 1)) == 0,
                  "CalendarQueue: bucket width must be a power of two");
@@ -98,30 +83,20 @@ class CalendarQueue {
 
   /// Schedules `payload` at absolute time `at` (>= now()).
   void push(SimTime at, Payload payload) {
-    OTIS_REQUIRE(at >= now_, "CalendarQueue: cannot schedule in the past");
-    if (at > horizon_) {
-      horizon_ = at;
-    }
-    maybe_rescale();
-    raw_push(at, next_seq_++, std::move(payload));
-    ++count_;
+    push_keyed(at, next_seq_, std::move(payload));
+    ++next_seq_;
   }
 
-  /// Schedules `payload` at absolute time `at` with a caller-chosen
-  /// sequence key instead of the internal counter. The sharded async
-  /// engine derives `seq` from the global (slot, coupler, winner)
-  /// transmission order, so entries pushed into *different* per-shard
-  /// calendars pop in the same relative order the serial engine's
-  /// single queue would produce. Keys must be unique per (time, seq)
-  /// within one queue; next_seq_ is not advanced, so keyed and
-  /// auto-sequenced pushes should not be mixed in one queue.
+  /// push() with a caller-chosen sequence key. The sharded async engine
+  /// derives it from the global (slot, coupler, winner) order, so
+  /// entries in *different* shard calendars pop in the order the serial
+  /// engine's single queue would. Keys must be unique per (time, seq);
+  /// next_seq_ is not advanced, so do not mix this with push().
   void push_keyed(SimTime at, std::uint64_t seq, Payload payload) {
     OTIS_REQUIRE(at >= now_, "CalendarQueue: cannot schedule in the past");
-    if (at > horizon_) {
-      horizon_ = at;
-    }
+    horizon_ = std::max(horizon_, at);
     maybe_rescale();
-    raw_push(at, seq, std::move(payload));
+    place(at, seq, std::move(payload));
     ++count_;
   }
 
@@ -129,41 +104,30 @@ class CalendarQueue {
   /// be non-empty.
   [[nodiscard]] const Entry& peek() {
     OTIS_ASSERT(count_ > 0, "CalendarQueue: peek on empty queue");
-    const Entry* top = slab_min();
-    if (!overflow_.empty() &&
-        (top == nullptr || earlier(overflow_.front(), *top))) {
-      return overflow_.front();
-    }
-    return *top;
+    return *front(min_bucket());
   }
 
   /// Removes and returns the earliest (time, seq) entry. The queue must
   /// be non-empty.
   Entry pop() {
     OTIS_ASSERT(count_ > 0, "CalendarQueue: pop on empty queue");
-    const Entry* top = slab_min();
-    if (!overflow_.empty() &&
-        (top == nullptr || earlier(overflow_.front(), *top))) {
-      // The spilled entry wins; the cached slab minimum stays valid.
-      std::pop_heap(overflow_.begin(), overflow_.end(), later);
-      Entry result = std::move(overflow_.back());
-      overflow_.pop_back();
-      --count_;
-      now_ = result.time;
-      return result;
+    const std::size_t b = min_bucket();
+    Entry* top = front(b);
+    Entry result = std::move(*top);
+    if (top == slab_top(b)) {
+      --counts_[b];
+    } else if (Segment& seg = segment(b); ++seg.head == seg.entries.size()) {
+      seg.entries.clear();  // back to the pool, keeping its capacity
+      seg.head = seg.sorted_end = 0;
+      free_.push_back(segment_of_[b]);
+      flags_[b] &= static_cast<std::uint8_t>(~kOverflow);
     }
-    const std::size_t b = static_cast<std::size_t>(cached_bucket_);
-    Entry result = std::move(slab_[b * kSlots + counts_[b] - 1]);
-    --counts_[b];
     --count_;
     now_ = result.time;
-    // The bucket stays the slab minimum while its next entry is still
-    // inside the just-popped day (every other bucket's entries lie in
-    // later days); otherwise the next peek walks the calendar again.
-    const std::size_t day = static_cast<std::size_t>(now_) >> width_shift_;
-    if (counts_[b] == 0 ||
-        slab_[b * kSlots + counts_[b] - 1].time >=
-            static_cast<SimTime>((day + 1) << width_shift_)) {
+    // The bucket stays the minimum while its next entry is still inside
+    // the just-popped day (other buckets' entries lie in later days).
+    top = front(b);
+    if (top == nullptr || top->time >= day_end(now_)) {
       cached_bucket_ = -1;
     }
     return result;
@@ -177,11 +141,14 @@ class CalendarQueue {
   void for_each(Fn&& fn) const {
     for (std::size_t b = 0; b < counts_.size(); ++b) {
       for (std::size_t i = 0; i < counts_[b]; ++i) {
-        fn(slab_[b * kSlots + i]);
+        fn(slab_[b * kInline + i]);
       }
-    }
-    for (const Entry& entry : overflow_) {
-      fn(entry);
+      if ((flags_[b] & kOverflow) != 0) {
+        const Segment& seg = pool_[segment_of_[b]];
+        for (std::size_t i = seg.head; i < seg.entries.size(); ++i) {
+          fn(seg.entries[i]);
+        }
+      }
     }
   }
 
@@ -191,134 +158,181 @@ class CalendarQueue {
   void set_next_seq(std::uint64_t seq) noexcept { next_seq_ = seq; }
 
  private:
-  /// Fixed entry slots per bucket in the slab. The rescale rule keeps
-  /// steady-state occupancy near kTargetOccupancy, so a Poisson day
-  /// exceeds kSlots with vanishing probability.
-  static constexpr std::size_t kSlots = 16;
-  static constexpr std::size_t kTargetOccupancy = 8;
-  /// Practical ceiling on the year length: the slab is
-  /// kSlots * sizeof(Entry) bytes per day.
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 17;
+  /// A day's overflow: live entries are entries[head, size), and the
+  /// run [head, sorted_end) is ascending by (time, seq).
+  struct Segment {
+    std::vector<Entry> entries;
+    std::size_t head = 0;
+    std::size_t sorted_end = 0;
+  };
 
-  [[nodiscard]] static bool earlier(const Entry& a, const Entry& b) noexcept {
+  /// Slab entries per day: Brown's target is kTargetOccupancy, but once
+  /// the year hits kMaxBuckets and the event span outruns it, some days
+  /// hold two years' entries; 20 keeps those off the segments too.
+  static constexpr std::size_t kInline = 20;
+  static constexpr std::size_t kTargetOccupancy = 8;
+  /// Ceiling on the year length: the slab costs kInline entries a day.
+  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 17;
+  /// flags_ bits: the slab part is unsorted; the day holds a segment.
+  static constexpr std::uint8_t kDirty = 1;
+  static constexpr std::uint8_t kOverflow = 2;
+
+  /// The (time, seq) order; a lambda, so the sorts inline it.
+  static constexpr auto earlier = [](const Entry& a, const Entry& b) {
     return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-  }
-  /// std::push_heap comparator: a min-heap on (time, seq).
-  static bool later(const Entry& a, const Entry& b) noexcept {
-    return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-  }
+  };
 
   [[nodiscard]] std::size_t bucket_of(SimTime at) const noexcept {
     return (static_cast<std::size_t>(at) >> width_shift_) &
            (counts_.size() - 1);
   }
 
-  /// Sorts bucket `b`'s slab segment descending by (time, seq): the
-  /// earliest entry ends at the segment's back.
-  void sort_segment(std::size_t b) {
-    Entry* begin = slab_.data() + b * kSlots;
-    std::sort(begin, begin + counts_[b],
-              [](const Entry& x, const Entry& y) { return later(x, y); });
-    dirty_[b] = 0;
+  /// First time after the day holding `at`.
+  [[nodiscard]] SimTime day_end(SimTime at) const noexcept {
+    return static_cast<SimTime>(
+        ((static_cast<std::size_t>(at) >> width_shift_) + 1) << width_shift_);
   }
 
-  /// Places an entry without bumping count_ / seq (shared by push and
-  /// rebuild): into bucket `b`'s slab segment, or the overflow heap
-  /// when the segment is full.
-  void raw_push(SimTime at, std::uint64_t seq, Payload payload) {
-    const std::size_t b = bucket_of(at);
-    if (counts_[b] == kSlots) {
-      overflow_.push_back(Entry{at, seq, std::move(payload)});
-      std::push_heap(overflow_.begin(), overflow_.end(), later);
-      return;
+  /// Bucket `b`'s segment; requires kOverflow in flags_[b].
+  [[nodiscard]] Segment& segment(std::size_t b) noexcept {
+    return pool_[segment_of_[b]];
+  }
+
+  /// Back (the minimum once sorted) of bucket `b`'s slab part, or null.
+  [[nodiscard]] Entry* slab_top(std::size_t b) noexcept {
+    return counts_[b] == 0 ? nullptr : &slab_[b * kInline + counts_[b] - 1];
+  }
+
+  /// Bucket `b`'s next entry to pop -- its minimum once settled -- or
+  /// null when the day is empty.
+  [[nodiscard]] Entry* front(std::size_t b) noexcept {
+    Entry* top = slab_top(b);
+    if ((flags_[b] & kOverflow) != 0) {
+      Segment& seg = segment(b);
+      if (top == nullptr || earlier(seg.entries[seg.head], *top)) {
+        top = &seg.entries[seg.head];
+      }
     }
-    // The cache survives a push that cannot displace the cached
-    // minimum: same bucket (its minimum only improves, and the dirty
-    // flag forces a re-sort) or a time at or after the segment's last
-    // entry (which is >= the bucket minimum; seq breaks ties in the
-    // cached entry's favour).
+    return top;
+  }
+
+  /// Files an entry under its day (push and rebuild). It takes fields,
+  /// not an Entry, so the common case builds it straight into the slab.
+  void place(SimTime at, std::uint64_t seq, Payload payload) {
+    const std::size_t b = bucket_of(at);
+    // The cache survives a push into its own bucket (the minimum stays
+    // there; settle() re-sorts) or at or after its front, which is at
+    // least that bucket's minimum.
     if (cached_bucket_ >= 0) {
       const std::size_t c = static_cast<std::size_t>(cached_bucket_);
-      if (b != c && at < slab_[c * kSlots + counts_[c] - 1].time) {
+      if (b != c && at < front(c)->time) {
         cached_bucket_ = -1;
       }
     }
-    slab_[b * kSlots + counts_[b]] = Entry{at, seq, std::move(payload)};
-    ++counts_[b];
-    dirty_[b] = 1;
+    if (counts_[b] < kInline) {
+      slab_[b * kInline + counts_[b]] = Entry{at, seq, std::move(payload)};
+      ++counts_[b];
+      flags_[b] |= kDirty;
+    } else {
+      place_in_segment(b, Entry{at, seq, std::move(payload)});
+    }
   }
 
-  /// The slab's earliest entry (null iff every pending entry spilled).
-  /// Leaves cached_bucket_ on that entry's bucket, sorted.
-  [[nodiscard]] const Entry* slab_min() {
-    if (cached_bucket_ >= 0) {
-      const std::size_t b = static_cast<std::size_t>(cached_bucket_);
-      if (dirty_[b] != 0) {
-        // A push landed in the cached bucket since the last walk; the
-        // minimum is still here but may no longer sit at the back.
-        sort_segment(b);
+  /// place() for a day whose slab part is full.
+  void place_in_segment(std::size_t b, Entry entry) {
+    if ((flags_[b] & kOverflow) == 0) {
+      if (free_.empty()) {
+        free_.push_back(static_cast<std::uint32_t>(pool_.size()));
+        pool_.emplace_back();
       }
-      return &slab_[b * kSlots + counts_[b] - 1];
+      segment_of_[b] = free_.back();
+      free_.pop_back();
+      flags_[b] |= kOverflow;
     }
-    if (count_ == overflow_.size()) {
-      return nullptr;
+    Segment& seg = segment(b);
+    const bool extends_run = seg.sorted_end == seg.entries.size() &&
+                             (seg.entries.empty() ||
+                              !earlier(entry, seg.entries.back()));
+    // Reclaim the popped prefix once it outweighs the live entries, so a
+    // day that never drains stays bounded (each move was paid by a pop).
+    if (2 * seg.head > seg.entries.size()) {
+      seg.entries.erase(seg.entries.begin(),
+                        seg.entries.begin() +
+                            static_cast<std::ptrdiff_t>(seg.head));
+      seg.sorted_end -= seg.head;
+      seg.head = 0;
     }
-    cached_bucket_ = find_min_bucket();
-    const std::size_t b = static_cast<std::size_t>(cached_bucket_);
-    return &slab_[b * kSlots + counts_[b] - 1];
+    seg.entries.push_back(std::move(entry));
+    if (extends_run) {
+      seg.sorted_end = seg.entries.size();
+    }
   }
 
-  /// Bucket whose segment back is the slab-wide minimum; requires a
-  /// non-empty slab. Sorts the bucket it settles on (lazily, once per
-  /// day in steady state).
+  /// Sorts what pushes left out of order in bucket `b`: the slab part
+  /// descending, the segment's tail merged into its run (O(live)).
+  void settle(std::size_t b) {
+    if ((flags_[b] & kDirty) != 0) {
+      const auto slab =
+          slab_.begin() + static_cast<std::ptrdiff_t>(b * kInline);
+      std::sort(slab, slab + counts_[b],
+                [](const Entry& x, const Entry& y) { return earlier(y, x); });
+      flags_[b] &= static_cast<std::uint8_t>(~kDirty);
+    }
+    if ((flags_[b] & kOverflow) == 0) {
+      return;
+    }
+    Segment& seg = segment(b);
+    if (seg.sorted_end < seg.entries.size()) {
+      const auto tail =
+          seg.entries.begin() + static_cast<std::ptrdiff_t>(seg.sorted_end);
+      std::sort(tail, seg.entries.end(), earlier);
+      std::inplace_merge(
+          seg.entries.begin() + static_cast<std::ptrdiff_t>(seg.head), tail,
+          seg.entries.end(), earlier);
+      seg.sorted_end = seg.entries.size();
+    }
+  }
+
+  /// The settled bucket holding the queue's minimum at its front, cached;
+  /// requires a non-empty queue.
+  [[nodiscard]] std::size_t min_bucket() {
+    if (cached_bucket_ < 0) {
+      cached_bucket_ = find_min_bucket();
+    }
+    const std::size_t b = static_cast<std::size_t>(cached_bucket_);
+    settle(b);  // a push may have landed there since the last walk
+    return b;
+  }
+
+  /// Bucket whose front is the queue-wide minimum; requires a non-empty
+  /// queue. Settles each bucket it examines.
   [[nodiscard]] std::int64_t find_min_bucket() {
-    // Walk the calendar from today: a bucket's earliest entry belongs
-    // to the current day iff its time falls before that day's end, in
-    // which case it is the slab minimum (earlier days were empty and
-    // other buckets' entries lie in later days). The walk reads only
-    // the byte-sized count array, so empty days cost ~a cycle each.
+    // Walk the calendar from today: a bucket whose front falls inside the
+    // day being walked holds the minimum (earlier days were empty, other
+    // buckets' entries lie in later days). If a whole year passes without
+    // one -- every entry is over a year ahead -- the least front wins.
     const std::size_t buckets = counts_.size();
     std::size_t day = static_cast<std::size_t>(now_) >> width_shift_;
+    std::int64_t best = -1;
     for (std::size_t step = 0; step < buckets; ++step, ++day) {
       const std::size_t b = day & (buckets - 1);
-      if (counts_[b] == 0) {
+      if (counts_[b] == 0 && flags_[b] < kOverflow) {
         continue;
       }
-      if (dirty_[b] != 0) {
-        sort_segment(b);
-      }
-      if (slab_[b * kSlots + counts_[b] - 1].time <
-          static_cast<SimTime>((day + 1) << width_shift_)) {
+      settle(b);
+      const Entry& head = *front(b);
+      if (head.time < static_cast<SimTime>((day + 1) << width_shift_)) {
         return static_cast<std::int64_t>(b);
       }
-    }
-    // Sparse tail: every slab entry lives more than a year ahead. Find
-    // the bucket holding the slab minimum directly.
-    std::int64_t best = -1;
-    for (std::size_t b = 0; b < buckets; ++b) {
-      if (counts_[b] == 0) {
-        continue;
-      }
-      if (dirty_[b] != 0) {
-        sort_segment(b);
-      }
-      if (best < 0 ||
-          earlier(slab_[b * kSlots + counts_[b] - 1],
-                  slab_[static_cast<std::size_t>(best) * kSlots +
-                        counts_[static_cast<std::size_t>(best)] - 1])) {
+      if (best < 0 || earlier(head, *front(static_cast<std::size_t>(best)))) {
         best = static_cast<std::int64_t>(b);
       }
     }
     return best;
   }
 
-  /// Brown's occupancy rule, against the days the events actually span
-  /// (now .. horizon): once the pending count passes kTargetOccupancy
-  /// events per *effective* day, grow the year if the span already
-  /// fills it, else sharpen the days. Either step doubles the effective
-  /// day count, so the occupancy check fails geometrically rarely; when
-  /// neither step is possible (one-tick days spanning a full maximal
-  /// year) the check degrades to this cheap early-out.
+  /// Brown's rule (see the file comment); a cheap early-out when neither
+  /// step is possible (one-tick days spanning a full maximal year).
   void maybe_rescale() {
     const std::size_t span_days =
         (static_cast<std::size_t>(horizon_) >> width_shift_) -
@@ -335,45 +349,40 @@ class CalendarQueue {
     }
   }
 
-  /// Redistributes every entry -- slab and spilled alike -- into a
-  /// fresh slab with `new_size` buckets of width 2^new_shift. Spilled
-  /// entries usually re-enter the (now roomier) slab.
+  /// Redistributes every entry into `new_size` fresh buckets of width
+  /// 2^new_shift.
   void rebuild(std::size_t new_size, int new_shift) {
-    std::vector<Entry> old_slab = std::move(slab_);
-    std::vector<std::uint8_t> old_counts = std::move(counts_);
-    std::vector<Entry> old_overflow = std::move(overflow_);
-    slab_.assign(new_size * kSlots, Entry{});
+    CalendarQueue old = std::move(*this);
+    slab_.assign(new_size * kInline, Entry{});
     counts_.assign(new_size, 0);
-    dirty_.assign(new_size, 0);
-    overflow_.clear();
+    flags_.assign(new_size, 0);
+    segment_of_.assign(new_size, 0);
+    pool_.clear();
+    free_.clear();
     width_shift_ = new_shift;
     cached_bucket_ = -1;
-    for (std::size_t b = 0; b < old_counts.size(); ++b) {
-      for (std::size_t i = 0; i < old_counts[b]; ++i) {
-        Entry& entry = old_slab[b * kSlots + i];
-        raw_push(entry.time, entry.seq, std::move(entry.payload));
-      }
-    }
-    for (Entry& entry : old_overflow) {
-      raw_push(entry.time, entry.seq, std::move(entry.payload));
-    }
+    old.for_each([this](const Entry& entry) {
+      place(entry.time, entry.seq, entry.payload);
+    });
   }
 
   int width_shift_ = 0;
-  /// Bucket b's entries live in slab_[b * kSlots + i), i < counts_[b],
-  /// unordered while dirty_[b], else sorted descending by (time, seq).
+  /// Bucket b's slab part is slab_[b * kInline + i), i < counts_[b],
+  /// unordered while flags_[b] has kDirty, else sorted descending. While
+  /// flags_[b] has kOverflow its segment is pool_[segment_of_[b]]; free_
+  /// lists the pooled segments not in use.
   std::vector<Entry> slab_;
   std::vector<std::uint8_t> counts_;
-  std::vector<std::uint8_t> dirty_;
-  /// Entries whose bucket segment was full: a binary min-heap on
-  /// (time, seq), compared against the slab head on every peek/pop.
-  std::vector<Entry> overflow_;
+  std::vector<std::uint8_t> flags_;
+  std::vector<std::uint32_t> segment_of_;
+  std::vector<Segment> pool_;
+  std::vector<std::uint32_t> free_;
   std::size_t count_ = 0;
   SimTime now_ = 0;
   SimTime horizon_ = 0;  ///< latest time ever pushed
   std::uint64_t next_seq_ = 0;
-  /// Bucket whose segment back is the slab-wide minimum, or -1. The
-  /// segment may have gone dirty since caching; peek/pop re-sort it.
+  /// Bucket holding the queue-wide minimum, or -1; min_bucket() settles
+  /// it before use.
   std::int64_t cached_bucket_ = -1;
 };
 

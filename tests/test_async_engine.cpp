@@ -1,6 +1,9 @@
 // Async timing layer tests:
 //  - the calendar queue orders events exactly like the priority-queue
-//    EventQueue (time order, FIFO tie-break, past-scheduling rejection);
+//    EventQueue (time order, FIFO tie-break, past-scheduling rejection),
+//    including same-tick floods, interleaved keyed producers, a flood
+//    day that never drains, the for_each checkpoint round trip and
+//    cached-minimum invalidation;
 //  - TimingConfig/TimingModel compile the skew profiles correctly
 //    (constant, per-level, trace-derived);
 //  - THE parity suite: the AsyncEngine with a slot-aligned (all-zero)
@@ -16,7 +19,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
@@ -133,6 +139,179 @@ TEST(CalendarQueueTest, RejectsPastScheduling) {
   (void)q.pop();
   EXPECT_EQ(q.now(), 5 * kTicksPerSlot);
   EXPECT_THROW(q.push(kTicksPerSlot, 2), core::Error);
+}
+
+// Same-tick floods: every transmission of a slot lands on one tick under
+// a constant timing profile, so a day must absorb thousands of entries.
+// Pops interleave with the pushes; the reference is the same entries
+// sorted by (time, seq).
+TEST(CalendarQueueTest, SameTickFloodPopsInSortedOrder) {
+  using Key = std::tuple<SimTime, std::uint64_t, int>;
+  CalendarQueue<int> q;
+  std::set<Key> reference;
+  core::Rng rng(17);
+  const SimTime ticks[] = {3 * kTicksPerSlot, 3 * kTicksPerSlot + 1,
+                           4 * kTicksPerSlot, 7 * kTicksPerSlot + 5};
+  for (int i = 0; i < 12000; ++i) {
+    const SimTime at = ticks[rng.uniform(4)];
+    reference.emplace(at, q.next_seq(), i);
+    q.push(at, i);
+    if (i % 5 == 0 && q.peek().time <= 3 * kTicksPerSlot) {
+      const auto entry = q.pop();
+      ASSERT_EQ(Key(entry.time, entry.seq, entry.payload), *reference.begin());
+      reference.erase(reference.begin());
+    }
+  }
+  EXPECT_EQ(q.pending(), reference.size());
+  while (!q.empty()) {
+    const auto entry = q.pop();
+    ASSERT_EQ(Key(entry.time, entry.seq, entry.payload), *reference.begin());
+    reference.erase(reference.begin());
+  }
+  EXPECT_TRUE(reference.empty());
+}
+
+// The sharded engine's pattern: each producer's keyed pushes arrive in
+// (time, seq) order, but four producers interleave, so the queue sees seq
+// out of order on one tick (three producers share it, the fourth lands
+// one tick later). Pops run slot by slot in between.
+TEST(CalendarQueueTest, InterleavedKeyedProducersPopInSortedOrder) {
+  using Key = std::pair<SimTime, std::uint64_t>;
+  constexpr int kProducers = 4;
+  CalendarQueue<std::uint64_t> q;
+  std::set<Key> reference;
+  core::Rng rng(29);
+  for (SimTime slot = 0; slot < 40; ++slot) {
+    while (!q.empty() && q.peek().time <= slot * kTicksPerSlot) {
+      const auto entry = q.pop();
+      ASSERT_FALSE(reference.empty());
+      ASSERT_EQ(Key(entry.time, entry.seq), *reference.begin());
+      ASSERT_EQ(entry.payload, entry.seq ^ 0x5a5aU);
+      reference.erase(reference.begin());
+    }
+    std::uint64_t next[kProducers] = {};
+    for (int i = 0; i < 300 * kProducers; ++i) {
+      const int p = static_cast<int>(rng.uniform(kProducers));
+      const std::uint64_t seq =
+          (static_cast<std::uint64_t>(slot) << 32) +
+          next[p]++ * kProducers + static_cast<std::uint64_t>(p);
+      const SimTime at = (slot + 3) * kTicksPerSlot + (p == 3 ? 1 : 0);
+      q.push_keyed(at, seq, seq ^ 0x5a5aU);
+      reference.emplace(at, seq);
+    }
+  }
+  while (!q.empty()) {
+    const auto entry = q.pop();
+    ASSERT_EQ(Key(entry.time, entry.seq), *reference.begin());
+    reference.erase(reference.begin());
+  }
+  EXPECT_TRUE(reference.empty());
+}
+
+// The flood hold model: each replacement lands four slots after the
+// popped entry, on the tick its whole batch moves to. Once the calendar
+// has rescaled to one-tick days and a year of a slot or less, that tick
+// wraps onto the popped entry's own bucket, so the day never drains and
+// its segment must reclaim the popped prefix as it goes. Keys from two
+// interleaved producers keep sending pushes out of order between
+// reclaims.
+TEST(CalendarQueueTest, UndrainedFloodDayStaysOrdered) {
+  using Key = std::pair<SimTime, std::uint64_t>;
+  CalendarQueue<std::uint64_t> q;
+  std::set<Key> reference;
+  core::Rng rng(53);
+  std::uint64_t next[2] = {0, 1};  // producer p issues p, p + 2, ...
+  const auto push = [&](SimTime at) {
+    std::uint64_t& key = next[rng.uniform(2)];
+    q.push_keyed(at, key, key);
+    reference.emplace(at, key);
+    key += 2;
+  };
+  for (SimTime slot = 1; slot <= 4; ++slot) {
+    for (int i = 0; i < 2000; ++i) {
+      push(slot * kTicksPerSlot);
+    }
+  }
+  for (int op = 0; op < 40000; ++op) {
+    const auto entry = q.pop();
+    ASSERT_EQ(Key(entry.time, entry.seq), *reference.begin());
+    ASSERT_EQ(entry.payload, entry.seq);
+    reference.erase(reference.begin());
+    push(entry.time + 4 * kTicksPerSlot);
+  }
+  EXPECT_EQ(q.pending(), reference.size());
+}
+
+// The checkpoint path: for_each -> push_keyed into a fresh queue (plus
+// the auto-sequence counter) must reproduce the pop sequence exactly,
+// whatever mix of flooded, scattered and half-drained days the source
+// holds, including pushes made after the restore.
+TEST(CalendarQueueTest, ForEachRoundTripReproducesPopOrder) {
+  CalendarQueue<int> source;
+  core::Rng rng(41);
+  int id = 0;
+  for (int i = 0; i < 3000; ++i) {
+    source.push(6 * kTicksPerSlot, id++);
+    source.push(static_cast<SimTime>(rng.uniform(40 * kTicksPerSlot)),
+                id++);
+  }
+  for (int i = 0; i < 1500; ++i) {
+    (void)source.pop();
+  }
+  CalendarQueue<int> restored;
+  source.for_each([&](const CalendarQueue<int>::Entry& entry) {
+    restored.push_keyed(entry.time, entry.seq, entry.payload);
+  });
+  restored.set_next_seq(source.next_seq());
+  ASSERT_EQ(restored.pending(), source.pending());
+  for (int i = 0; i < 2000; ++i) {
+    const SimTime at =
+        source.now() + static_cast<SimTime>(rng.uniform(8 * kTicksPerSlot));
+    source.push(at, id);
+    restored.push(at, id);
+    ++id;
+  }
+  while (!source.empty()) {
+    ASSERT_FALSE(restored.empty());
+    const auto want = source.pop();
+    const auto got = restored.pop();
+    ASSERT_EQ(got.time, want.time);
+    ASSERT_EQ(got.seq, want.seq);
+    ASSERT_EQ(got.payload, want.payload);
+  }
+  EXPECT_TRUE(restored.empty());
+}
+
+// peek() memoizes the minimum's bucket; a later push of an earlier time
+// into another bucket must displace it, in a slab day and behind a
+// flood alike.
+TEST(CalendarQueueTest, EarlierPushAfterPeekInvalidatesCachedMinimum) {
+  // Width 4, 4 buckets, too few entries to rescale: t=9 is bucket 2,
+  // t=5 bucket 1, t=8 bucket 2 again.
+  CalendarQueue<int> q(/*bucket_width=*/4, /*initial_buckets=*/4);
+  q.push(9, 1);
+  q.push(9, 2);
+  EXPECT_EQ(q.peek().time, 9);
+  q.push(5, 3);
+  EXPECT_EQ(q.peek().time, 5);
+  q.push(8, 4);
+  EXPECT_EQ(q.pop().payload, 3);
+  EXPECT_EQ(q.pop().payload, 4);
+  EXPECT_EQ(q.pop().payload, 1);
+  EXPECT_EQ(q.pop().payload, 2);
+
+  CalendarQueue<int> flood;
+  for (int i = 0; i < 5000; ++i) {
+    flood.push(5 * kTicksPerSlot, i);
+  }
+  EXPECT_EQ(flood.peek().payload, 0);
+  flood.push(2 * kTicksPerSlot + 3, -1);
+  EXPECT_EQ(flood.peek().time, 2 * kTicksPerSlot + 3);
+  EXPECT_EQ(flood.pop().payload, -1);
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_EQ(flood.pop().payload, i);
+  }
+  EXPECT_TRUE(flood.empty());
 }
 
 // --------------------------------------------------------- timing model

@@ -193,6 +193,65 @@ TEST(CampaignSpecJson, DefaultsAndErrors) {
       core::Error);
 }
 
+/// Parses a spec holding the single topology `topology` (a JSON object)
+/// and expects core::Error whose message contains `needle`.
+void expect_topology_error(const std::string& topology,
+                           const std::string& needle) {
+  const std::string json = R"({"topologies": [)" + topology + "]}";
+  try {
+    (void)campaign::parse_campaign_spec(json);
+    ADD_FAILURE() << "accepted " << json;
+  } catch (const core::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CampaignSpecJson, RejectsOutOfRangeTopologyParameters) {
+  expect_topology_error(R"({"kind": "stack_kautz", "s": 4, "d": 3, "k": -2})",
+                        R"(SK(4,3,-2) field "k" must be >= 1 (got -2))");
+  expect_topology_error(R"({"kind": "stack_kautz", "s": 0, "d": 3, "k": 2})",
+                        R"(field "s")");
+  expect_topology_error(R"({"kind": "stack_kautz", "s": 4, "d": 0, "k": 2})",
+                        R"(field "d")");
+  expect_topology_error(R"({"kind": "pops", "t": 0, "g": 3})",
+                        R"(field "t")");
+  expect_topology_error(R"({"kind": "pops", "t": 2, "g": -1})",
+                        R"(field "g")");
+  expect_topology_error(
+      R"({"kind": "stack_imase_itoh", "s": -1, "d": 2, "n": 12})",
+      R"(field "s")");
+  expect_topology_error(
+      R"({"kind": "stack_imase_itoh", "s": 4, "d": 0, "n": 12})",
+      R"(field "d")");
+  expect_topology_error(
+      R"({"kind": "stack_imase_itoh", "s": 4, "d": 3, "n": 2})",
+      R"(field "n" must be >= 3)");
+  // s * d^(k-1) * (d+1) = 1e5 * 1e16 * 101 does not fit in int64: the
+  // count is refused instead of wrapping (signed overflow).
+  expect_topology_error(
+      R"({"kind": "stack_kautz", "s": 100000, "d": 100, "k": 9})",
+      "SK(100000,100,9) has more processors than fit in 64 bits");
+  EXPECT_THROW((void)TopologySpec::stack_kautz(100000, 100, 9).processor_count(),
+               core::Error);
+  EXPECT_THROW((void)TopologySpec::pops(std::int64_t{1} << 40,
+                                        std::int64_t{1} << 40)
+                   .processor_count(),
+               core::Error);
+  // A huge diameter on degree 1 is in range and terminates: K(1, k) has
+  // two vertices whatever k is.
+  EXPECT_EQ(TopologySpec::stack_kautz(3, 1, std::int64_t{1} << 62)
+                .processor_count(),
+            6);
+
+  // Specs built in code are checked where the grid expands, too.
+  CampaignSpec spec;
+  spec.topologies = {TopologySpec::stack_kautz(4, 3, -2)};
+  EXPECT_THROW((void)campaign::expand_grid(spec), core::Error);
+  spec.topologies = {TopologySpec::stack_kautz(4, 3, 2)};
+  EXPECT_EQ(campaign::expand_grid(spec).size(), 1u);
+}
+
 TEST(CampaignRunnerTest, OneCompilePerTopology) {
   CampaignSpec spec = acceptance_spec();
   campaign::reset_topology_compile_count();
