@@ -24,6 +24,7 @@
 #include "core/args.hpp"
 #include "core/error.hpp"
 #include "core/json.hpp"
+#include "core/mathutil.hpp"
 #include "core/table.hpp"
 
 namespace {
@@ -122,35 +123,6 @@ void print_usage(std::ostream& os) {
      << "             sharded and resumed runs\n";
 }
 
-/// Per-slot cost multiplier of the cell's timing profile. Skewed cells
-/// run the calendar-queue async loop, whose per-event pops, eligibility
-/// gates and tick arithmetic cost roughly 2.5x a phased slot; per-level
-/// skew spreads the delays further (wider windows, longer in-flight
-/// tails), so it carries another half step. Slot-aligned cells -- kNone
-/// or a skew profile with every tick zero -- stay on the phased-loop
-/// baseline of 1.
-double timing_weight_factor(const otis::sim::TimingConfig& timing) {
-  if (timing.is_slot_aligned()) {
-    return 1.0;
-  }
-  return timing.profile == otis::sim::SkewProfile::kPerLevel ? 3.0 : 2.5;
-}
-
-/// One topology's route-compile cost in router evaluations: O(G^2) for
-/// the group-factored table, O(N^2) for the dense one (the same
-/// quantities CompiledRoutes/CompressedRoutes::compile loop over). At
-/// SK(12,20,3) scale the dense/compressed gap is four orders of
-/// magnitude, which is exactly what shard planning must see.
-std::int64_t route_compile_cost(const otis::campaign::TopologySpec& topology,
-                                otis::sim::RouteTable routes) {
-  const std::int64_t nodes = topology.processor_count();
-  const std::int64_t groups = nodes / topology.stacking;
-  return otis::sim::resolve_route_table(routes, nodes) ==
-                 otis::sim::RouteTable::kCompressed
-             ? groups * groups
-             : nodes * nodes;
-}
-
 /// The --list-cells dry run: the exact expansion, shard split and
 /// manifest skip set a real run would use, as a printout.
 int list_cells(const otis::campaign::CampaignSpec& spec,
@@ -173,23 +145,8 @@ int list_cells(const otis::campaign::CampaignSpec& spec,
   std::int64_t pending = 0, done = 0, other_shard = 0;
   std::int64_t pending_weight = 0;
   for (const otis::campaign::CampaignCell& cell : cells) {
-    // Estimated cell weight: nodes x simulated slots x timing factor,
-    // the slot loop's work bound up to the per-slot constant. Skewed
-    // cells pay the async calendar-queue loop on top of the raw slot
-    // count (timing_weight_factor), so shards balanced by this weight
-    // no longer under-provision the async cells. Closed-loop (workload)
-    // cells run to completion, so their window is a lower bound. On top
-    // comes the cell's amortized share of its topology's route-compile
-    // cost -- at large N a dense O(N^2) compile dwarfs the simulation
-    // window, and a shard holding one such cell must be charged for it.
-    const std::int64_t weight =
-        static_cast<std::int64_t>(
-            static_cast<double>(
-                spec.topologies[cell.topology].processor_count() *
-                (spec.warmup_slots + spec.measure_slots)) *
-            timing_weight_factor(cell.timing)) +
-        route_compile_cost(spec.topologies[cell.topology], cell.routes) /
-            topology_cells[cell.topology];
+    const std::int64_t weight = otis::campaign::cell_weight(
+        spec, cell, topology_cells[cell.topology]);
     const char* status = "pending";
     if (cell.index % options.shard_count != options.shard_index) {
       status = "other-shard";
@@ -199,7 +156,7 @@ int list_cells(const otis::campaign::CampaignSpec& spec,
       ++done;
     } else {
       ++pending;
-      pending_weight += weight;
+      pending_weight = otis::core::saturating_add(pending_weight, weight);
     }
     std::cout << cell.index << "\t" << status << "\t"
               << otis::sim::engine_name(cell.engine) << "\t" << weight

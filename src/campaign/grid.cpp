@@ -1,9 +1,11 @@
 #include "campaign/grid.hpp"
 
+#include <limits>
 #include <sstream>
 #include <unordered_set>
 
 #include "core/error.hpp"
+#include "core/mathutil.hpp"
 #include "core/table.hpp"
 
 namespace otis::campaign {
@@ -106,6 +108,40 @@ std::vector<CampaignCell> expand_grid(const CampaignSpec& spec) {
                      " (axis values too close or repeated)");
   }
   return cells;
+}
+
+std::int64_t cell_weight(const CampaignSpec& spec, const CampaignCell& cell,
+                         std::int64_t topology_cells) {
+  constexpr std::int64_t kSaturated = std::numeric_limits<std::int64_t>::max();
+  const TopologySpec& topology = spec.topologies[cell.topology];
+  const std::int64_t nodes = topology.processor_count();
+  // Skewed cells run the calendar-queue async loop, whose per-event
+  // pops, eligibility gates and tick arithmetic cost roughly 2.5x a
+  // phased slot; per-level skew spreads the delays further (wider
+  // windows, longer in-flight tails), another half step. Slot-aligned
+  // cells stay on the phased-loop baseline of 1.
+  double factor = 1.0;
+  if (!cell.timing.is_slot_aligned()) {
+    factor = cell.timing.profile == sim::SkewProfile::kPerLevel ? 3.0 : 2.5;
+  }
+  const double run = factor * static_cast<double>(core::saturating_mul(
+                                  nodes, core::saturating_add(
+                                             spec.warmup_slots,
+                                             spec.measure_slots)));
+  // Route compile in router evaluations: O(G^2) for the group-factored
+  // table, O(N^2) for the dense one. At SK(12,20,3) the gap is four
+  // orders of magnitude, and a shard holding one dense cell must be
+  // charged for it.
+  const std::int64_t side = sim::resolve_route_table(cell.routes, nodes) ==
+                                    sim::RouteTable::kCompressed
+                                ? nodes / topology.stacking
+                                : nodes;
+  const std::int64_t compile = core::saturating_mul(side, side);
+  // 2^63 is the first double past INT64_MAX; a saturated compile cost is
+  // no longer a count, so it is not shared out.
+  return core::saturating_add(
+      run >= 0x1p63 ? kSaturated : static_cast<std::int64_t>(run),
+      compile == kSaturated ? compile : compile / topology_cells);
 }
 
 }  // namespace otis::campaign

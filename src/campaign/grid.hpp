@@ -60,4 +60,15 @@ struct CampaignCell {
 /// Expands the validated spec into cells (spec.cell_count() of them).
 [[nodiscard]] std::vector<CampaignCell> expand_grid(const CampaignSpec& spec);
 
+/// Estimated work of one cell, for balancing shards by work rather than
+/// cell count: nodes x simulated slots x the timing profile's per-slot
+/// cost factor, plus the cell's share of its topology's route compile
+/// (shared by the `topology_cells` cells on that topology). Closed-loop
+/// cells run to completion, so their window is a lower bound. Saturates
+/// at INT64_MAX for topologies too large to simulate instead of
+/// overflowing.
+[[nodiscard]] std::int64_t cell_weight(const CampaignSpec& spec,
+                                       const CampaignCell& cell,
+                                       std::int64_t topology_cells);
+
 }  // namespace otis::campaign

@@ -6,6 +6,30 @@
 
 namespace otis::core {
 
+std::uint64_t blob_checksum(const std::uint8_t* data, std::size_t size) {
+  constexpr std::uint64_t kPrime = 0x100000001B3ULL;
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    std::uint64_t word = 0;
+    for (int b = 0; b < 8; ++b) {
+      word |= static_cast<std::uint64_t>(data[i + static_cast<std::size_t>(b)])
+              << (8 * b);
+    }
+    h = (h ^ word) * kPrime;
+  }
+  for (; i < size; ++i) {
+    h = (h ^ data[i]) * kPrime;
+  }
+  h = (h ^ static_cast<std::uint64_t>(size)) * kPrime;
+  // splitmix64 finalizer: spreads every input bit over the whole word.
+  h ^= h >> 30;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  h ^= h >> 27;
+  h *= 0x94D049BB133111EBULL;
+  return h ^ (h >> 31);
+}
+
 void write_file_atomic(const std::string& path,
                        const std::vector<std::uint8_t>& bytes) {
   const std::string tmp = path + ".tmp";

@@ -117,6 +117,14 @@ class BlobReader {
   std::size_t pos_ = 0;
 };
 
+/// 64-bit checksum of `size` bytes: FNV-1a over little-endian 64-bit
+/// words, then the tail bytes and the length, with a final avalanche.
+/// Every step is a bijection of the running state, so a change confined
+/// to one word always changes the result. It detects damage, not
+/// tampering.
+[[nodiscard]] std::uint64_t blob_checksum(const std::uint8_t* data,
+                                          std::size_t size);
+
 /// Writes `bytes` to `path` atomically (temp file in the same
 /// directory, then rename), so an interrupted writer never leaves a
 /// half-written checkpoint where a resume would find it.

@@ -82,4 +82,20 @@ std::int64_t kautz_order(int degree, int diameter) {
   return ipow(degree, static_cast<unsigned>(diameter - 1)) * (degree + 1);
 }
 
+std::int64_t saturating_add(std::int64_t a, std::int64_t b) noexcept {
+  std::int64_t sum = 0;
+  return __builtin_add_overflow(a, b, &sum)
+             ? (a > 0 ? std::numeric_limits<std::int64_t>::max()
+                      : std::numeric_limits<std::int64_t>::min())
+             : sum;
+}
+
+std::int64_t saturating_mul(std::int64_t a, std::int64_t b) noexcept {
+  std::int64_t product = 0;
+  return __builtin_mul_overflow(a, b, &product)
+             ? ((a > 0) == (b > 0) ? std::numeric_limits<std::int64_t>::max()
+                                   : std::numeric_limits<std::int64_t>::min())
+             : product;
+}
+
 }  // namespace otis::core

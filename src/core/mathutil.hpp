@@ -32,6 +32,13 @@ namespace otis::core {
 /// True when value == base^k for some k >= 0.
 [[nodiscard]] bool is_power_of(std::int64_t base, std::int64_t value);
 
+/// a + b and a * b clamped to the int64 range instead of overflowing
+/// (for estimates that must stay ordered, never wrap, at hostile sizes).
+[[nodiscard]] std::int64_t saturating_add(std::int64_t a,
+                                          std::int64_t b) noexcept;
+[[nodiscard]] std::int64_t saturating_mul(std::int64_t a,
+                                          std::int64_t b) noexcept;
+
 /// Number of Kautz vertices: d^(k-1) * (d+1). Throws on overflow.
 [[nodiscard]] std::int64_t kautz_order(int degree, int diameter);
 

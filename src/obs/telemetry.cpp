@@ -239,9 +239,12 @@ void Telemetry::close() {
 
 // ----------------------------------------------------------- WindowSpans
 
-WindowSpans::WindowSpans(ChromeTraceSink* sink, std::int32_t tid,
-                         std::int64_t warmup, std::int64_t horizon)
-    : sink_(sink), tid_(tid), warmup_(warmup), horizon_(horizon) {}
+WindowSpans::WindowSpans(const Telemetry* tel, std::int64_t warmup,
+                         std::int64_t horizon)
+    : sink_(tel != nullptr ? tel->trace_sink() : nullptr),
+      tid_(tel != nullptr ? tel->tid() : 0),
+      warmup_(warmup),
+      horizon_(horizon) {}
 
 void WindowSpans::at_slot(std::int64_t now) {
   if (sink_ == nullptr) {

@@ -183,8 +183,9 @@ class Telemetry {
 /// slot number, so the helper works for every engine and drain policy.
 class WindowSpans {
  public:
-  WindowSpans() = default;
-  WindowSpans(ChromeTraceSink* sink, std::int32_t tid, std::int64_t warmup,
+  /// Spans go to `tel`'s trace sink; without telemetry or a sink the
+  /// helper does nothing.
+  WindowSpans(const Telemetry* tel, std::int64_t warmup,
               std::int64_t horizon);
 
   void at_slot(std::int64_t now);

@@ -5,13 +5,13 @@
 #include <bit>
 #include <exception>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "core/error.hpp"
 #include "sim/arbitration.hpp"
 #include "sim/calendar_queue.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/sharding.hpp"
 
 namespace otis::sim {
 namespace {
@@ -30,16 +30,6 @@ constexpr SimTime kMaxLookaheadSlots = 32;
 /// zero-delay limit this equals the phased engine's (now - created + 1).
 std::int64_t latency_slots(SimTime delivered_tick, SimTime created_tick) {
   return (delivered_tick - created_tick + kTicksPerSlot - 1) / kTicksPerSlot;
-}
-
-/// Widest request mask of any coupler, in words (per-shard scratch size).
-std::size_t max_mask_words(const detail::FeedIndex& fi) {
-  std::size_t widest = 1;
-  for (std::size_t h = 0; h < fi.coupler_count(); ++h) {
-    widest = std::max(widest, static_cast<std::size_t>(fi.mask_base[h + 1] -
-                                                       fi.mask_base[h]));
-  }
-  return widest;
 }
 
 }  // namespace
@@ -85,19 +75,6 @@ bool AsyncEngineT<Routes>::gates_open() const {
 }
 
 template <routing::RouteView Routes>
-int AsyncEngineT<Routes>::clamp_threads() const {
-  int threads = config_.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads <= 0) {
-    threads = 1;
-  }
-  return static_cast<int>(std::min<std::int64_t>(
-      threads, std::max<std::int64_t>(1, std::max(nodes_, couplers_))));
-}
-
-template <routing::RouteView Routes>
 SimTime AsyncEngineT<Routes>::lookahead_slots() const {
   // A transmission in slot t lands no earlier than (t+1) * kTicksPerSlot
   // + min_propagation, so it cannot reach another shard's receive step
@@ -106,92 +83,6 @@ SimTime AsyncEngineT<Routes>::lookahead_slots() const {
   // widen the window.
   return std::min<SimTime>(kMaxLookaheadSlots,
                            1 + timing_.min_propagation() / kTicksPerSlot);
-}
-
-template <routing::RouteView Routes>
-typename AsyncEngineT<Routes>::ShardPlan AsyncEngineT<Routes>::plan_shards(
-    int threads) const {
-  ShardPlan plan;
-  plan.node_cut.assign(static_cast<std::size_t>(threads) + 1, 0);
-  plan.node_cut.back() = nodes_;
-  plan.couplers.resize(static_cast<std::size_t>(threads));
-
-  // Node of each VOQ, to read coupler feed spans off the FeedIndex.
-  std::vector<hypergraph::Node> node_of_queue(
-      static_cast<std::size_t>(voq_base_.back()));
-  for (hypergraph::Node v = 0; v < nodes_; ++v) {
-    for (std::int64_t qi = voq_base_[static_cast<std::size_t>(v)];
-         qi < voq_base_[static_cast<std::size_t>(v) + 1]; ++qi) {
-      node_of_queue[static_cast<std::size_t>(qi)] = v;
-    }
-  }
-
-  // A cut between nodes k-1 and k is feed-local iff no coupler's feed
-  // set spans it. Windows longer than one slot have a coupler's owner
-  // arbitrating over its feed VOQs mid-window, which is only safe when
-  // every one of those queues lives in the owner's shard -- so cuts
-  // inside a feed span are forbidden and the ideal balanced boundaries
-  // snap outward to the nearest legal position.
-  std::vector<std::uint8_t> allowed(static_cast<std::size_t>(nodes_) + 1, 1);
-  std::vector<hypergraph::Node> min_source(
-      static_cast<std::size_t>(couplers_), 0);
-  for (hypergraph::HyperarcId h = 0; h < couplers_; ++h) {
-    const std::size_t fb =
-        static_cast<std::size_t>(feed_.feed_base[static_cast<std::size_t>(h)]);
-    const std::size_t fe = static_cast<std::size_t>(
-        feed_.feed_base[static_cast<std::size_t>(h) + 1]);
-    if (fb == fe) {
-      continue;
-    }
-    hypergraph::Node lo = nodes_;
-    hypergraph::Node hi = 0;
-    for (std::size_t p = fb; p < fe; ++p) {
-      const hypergraph::Node v =
-          node_of_queue[static_cast<std::size_t>(feed_.feed_qi[p])];
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    min_source[static_cast<std::size_t>(h)] = lo;
-    for (hypergraph::Node k = lo + 1; k <= hi; ++k) {
-      allowed[static_cast<std::size_t>(k)] = 0;
-    }
-  }
-
-  for (int w = 1; w < threads; ++w) {
-    const std::int64_t ideal = nodes_ * w / threads;
-    std::int64_t best = 0;
-    for (std::int64_t d = 0;; ++d) {
-      if (ideal - d >= 0 &&
-          allowed[static_cast<std::size_t>(ideal - d)] != 0) {
-        best = ideal - d;
-        break;
-      }
-      if (ideal + d <= nodes_ &&
-          allowed[static_cast<std::size_t>(ideal + d)] != 0) {
-        best = ideal + d;
-        break;
-      }
-    }
-    // Snapping keeps cuts monotone; coinciding cuts leave a shard empty
-    // (it still participates in the barriers).
-    plan.node_cut[static_cast<std::size_t>(w)] =
-        std::max(best, plan.node_cut[static_cast<std::size_t>(w) - 1]);
-  }
-  plan.node_owner.assign(static_cast<std::size_t>(nodes_), 0);
-  for (int w = 0; w < threads; ++w) {
-    for (std::int64_t v = plan.node_cut[static_cast<std::size_t>(w)];
-         v < plan.node_cut[static_cast<std::size_t>(w) + 1]; ++v) {
-      plan.node_owner[static_cast<std::size_t>(v)] =
-          static_cast<std::int32_t>(w);
-    }
-  }
-  for (hypergraph::HyperarcId h = 0; h < couplers_; ++h) {
-    plan.couplers[static_cast<std::size_t>(
-                      plan.node_owner[static_cast<std::size_t>(
-                          min_source[static_cast<std::size_t>(h)])])]
-        .push_back(h);
-  }
-  return plan;
 }
 
 template <routing::RouteView Routes>
@@ -209,11 +100,9 @@ RunMetrics AsyncEngineT<Routes>::run(
   core::Rng rng = core::Rng::stream(config_.seed, kRunStream);
   RunMetrics metrics;
   metrics.slots = config_.measure_slots;
-  if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
-    metrics.latency.use_sketch();
-  }
-  metrics.latency.reserve(
-      std::min(config_.measure_slots * nodes_, kLatencyReserveCap));
+  metrics.latency.prepare(
+      resolve_latency_sketch(config_.latency_mode, nodes_),
+      config_.measure_slots * nodes_);
 
   const SimTime horizon = config_.warmup_slots + config_.measure_slots;
   const SimTime drain_bound = horizon + 1'000'000;
@@ -253,20 +142,12 @@ RunMetrics AsyncEngineT<Routes>::run(
   // detached, state reads only at sampling boundaries. The async
   // engine additionally reports the calendar-queue pending count.
   obs::Telemetry* const tel = config_.telemetry.get();
-  obs::WindowSpans windows;
+  obs::WindowSpans windows(tel, config_.warmup_slots, horizon);
   SimTime tel_last = 0;
-  if (tel != nullptr && tel->trace_sink() != nullptr) {
-    windows = obs::WindowSpans(tel->trace_sink(), tel->tid(),
-                               config_.warmup_slots, horizon);
-  }
   const auto fill_probes = [&]() {
-    detail::fill_metric_probes(*tel, metrics, inflight);
-    obs::ProbeRegistry& reg = tel->probes();
-    reg.set(tel->engine_probes().pending_events,
-            static_cast<std::int64_t>(propagations.pending()));
-    const obs::ProbeId hist = tel->engine_probes().occupancy;
-    reg.clear_histogram(hist);
-    detail::observe_occupancy(reg, hist, feed_, voq, 0, couplers_);
+    detail::fill_metric_probes(*tel, metrics, inflight, feed_, voq);
+    tel->probes().set(tel->engine_probes().pending_events,
+                      static_cast<std::int64_t>(propagations.pending()));
   };
 
   /// Queues `entry` at `at`; `tick` is when it landed there (its
@@ -597,26 +478,18 @@ RunMetrics AsyncEngineT<Routes>::run_workload(
   std::vector<workload::WorkloadPacket> inject;
   const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
   const Arbitration policy = config_.arbitration;
-  if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
-    metrics.latency.use_sketch();
-  }
-  metrics.latency.reserve(std::min(background_base, kLatencyReserveCap));
+  metrics.latency.prepare(
+      resolve_latency_sketch(config_.latency_mode, nodes_),
+      background_base);
 
   // Telemetry, as in the open-loop run above (no warmup window).
   obs::Telemetry* const tel = config_.telemetry.get();
-  obs::WindowSpans windows;
+  obs::WindowSpans windows(tel, 0, bound + 1);
   SimTime tel_last = 0;
-  if (tel != nullptr && tel->trace_sink() != nullptr) {
-    windows = obs::WindowSpans(tel->trace_sink(), tel->tid(), 0, bound + 1);
-  }
   const auto fill_probes = [&]() {
-    detail::fill_metric_probes(*tel, metrics, inflight);
-    obs::ProbeRegistry& reg = tel->probes();
-    reg.set(tel->engine_probes().pending_events,
-            static_cast<std::int64_t>(propagations.pending()));
-    const obs::ProbeId hist = tel->engine_probes().occupancy;
-    reg.clear_histogram(hist);
-    detail::observe_occupancy(reg, hist, feed_, voq, 0, couplers_);
+    detail::fill_metric_probes(*tel, metrics, inflight, feed_, voq);
+    tel->probes().set(tel->engine_probes().pending_events,
+                      static_cast<std::int64_t>(propagations.pending()));
   };
 
   // queue_capacity is 0 in workload mode (validated): never drops.
@@ -801,8 +674,10 @@ RunMetrics AsyncEngineT<Routes>::run_workload(
 template <routing::RouteView Routes>
 RunMetrics AsyncEngineT<Routes>::run_sharded(
     std::vector<std::int64_t>& coupler_success) {
-  const int threads = clamp_threads();
-  const ShardPlan plan = plan_shards(threads);
+  const int threads =
+      detail::clamp_threads(config_.threads, nodes_, couplers_);
+  const detail::ShardPlan plan =
+      detail::plan_shards(threads, voq_base_, feed_);
   coupler_success.assign(static_cast<std::size_t>(couplers_), 0);
 
   // Sharded stream universe (shared with the sharded phased engine):
@@ -848,13 +723,9 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     Arrival arrival;
   };
 
-  struct Shard {
+  struct Shard : detail::ShardTally {
     std::int64_t node_begin = 0, node_end = 0;
-    std::int64_t offered = 0, delivered = 0, dropped = 0;
-    std::int64_t transmissions = 0, collisions = 0;
-    std::int64_t inflight_delta = 0;  ///< since the last window fold
-    std::int64_t events_delta = 0;    ///< calendar pushes - pops, ditto
-    LatencyStats latency;
+    std::int64_t events_delta = 0;  ///< calendar pushes - pops, per fold
     CalendarQueue<Arrival> calendar;
     std::vector<std::vector<Mail>> outbox;  ///< per consumer shard
     std::vector<std::size_t> winners, scratch;
@@ -863,7 +734,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     std::vector<std::int64_t> backlog_snap, events_snap;
   };
   std::vector<Shard> shards(static_cast<std::size_t>(threads));
-  const std::size_t req_words = max_mask_words(feed_);
+  const std::size_t req_words = detail::max_mask_words(feed_);
   for (int w = 0; w < threads; ++w) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
     shard.node_begin = plan.node_cut[static_cast<std::size_t>(w)];
@@ -872,18 +743,10 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     shard.request.assign(req_words, 0);
     shard.backlog_snap.assign(static_cast<std::size_t>(lookahead), 0);
     shard.events_snap.assign(static_cast<std::size_t>(lookahead), 0);
-    if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
-      shard.latency.use_sketch();
-    }
-    shard.latency.reserve(
-        std::min(config_.measure_slots * (shard.node_end - shard.node_begin),
-                 kLatencyReserveCap));
-    for (std::int64_t qi =
-             voq_base_[static_cast<std::size_t>(shard.node_begin)];
-         qi < voq_base_[static_cast<std::size_t>(shard.node_end)]; ++qi) {
-      voq.set_pool(static_cast<std::size_t>(qi),
-                   static_cast<std::uint32_t>(w));
-    }
+    shard.latency.prepare(
+        resolve_latency_sketch(config_.latency_mode, nodes_),
+        config_.measure_slots * (shard.node_end - shard.node_begin));
+    detail::assign_pool(voq, voq_base_, shard.node_begin, shard.node_end, w);
   }
 
   std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
@@ -894,22 +757,10 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
   // calendar-pending are global gauges reconstructed from the window
   // start value plus the shards' cumulative per-slot deltas.
   obs::Telemetry* const tel = config_.telemetry.get();
-  obs::WindowSpans windows;
+  obs::WindowSpans windows(tel, config_.warmup_slots, horizon);
   SimTime tel_last = 0;
-  std::vector<obs::ProbeRegistry> frames;
-  if (tel != nullptr) {
-    if (tel->trace_sink() != nullptr) {
-      windows = obs::WindowSpans(tel->trace_sink(), tel->tid(),
-                                 config_.warmup_slots, horizon);
-    }
-    if (tel->sampling()) {
-      frames.reserve(static_cast<std::size_t>(threads) *
-                     static_cast<std::size_t>(lookahead));
-      for (std::int64_t i = 0; i < threads * lookahead; ++i) {
-        frames.push_back(tel->probes().clone_schema());
-      }
-    }
-  }
+  std::vector<obs::ProbeRegistry> frames =
+      detail::probe_frames(tel, threads * lookahead);
 
   // Runtime channel (obs/runtime_stats.hpp): per-shard barrier-wait /
   // window-width / mailbox / calendar-depth accounting. The flag is
@@ -917,10 +768,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
   // loop. Sends are counted at the producer before the barrier, replays
   // at the consumer inside the completion step (workers blocked), so
   // across a run total sends == total replays.
-  obs::RuntimeStats* const rts = config_.runtime_stats.get();
-  const bool rt_on = rts != nullptr && rts->active();
-  std::vector<obs::ShardRuntime> rt_shards(
-      rt_on ? static_cast<std::size_t>(threads) : 0);
+  detail::ShardRuntimes runtime(config_.runtime_stats.get(), threads);
 
   // Window state shared across workers; mutated only by the window
   // barrier's completion step, which runs while every worker is blocked.
@@ -958,25 +806,18 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     }
     out.put_i64_vec(token_);
     out.put_i64_vec(retune_);
-    std::int64_t offered = 0, delivered = 0, dropped = 0;
-    std::int64_t transmissions = 0, collisions = 0;
-    LatencyStats latency;
+    RunMetrics fold;
     std::uint64_t events = 0;
     for (const Shard& shard : shards) {
-      offered += shard.offered;
-      delivered += shard.delivered;
-      dropped += shard.dropped;
-      transmissions += shard.transmissions;
-      collisions += shard.collisions;
-      latency.merge(shard.latency);
+      shard.fold_into(fold);
       events += shard.calendar.pending();
     }
-    out.put_i64(offered);
-    out.put_i64(delivered);
-    out.put_i64(dropped);
-    out.put_i64(transmissions);
-    out.put_i64(collisions);
-    latency.serialize(out);
+    out.put_i64(fold.offered_packets);
+    out.put_i64(fold.delivered_packets);
+    out.put_i64(fold.dropped_packets);
+    out.put_i64(fold.coupler_transmissions);
+    out.put_i64(fold.collisions);
+    fold.latency.serialize(out);
     out.put_i64_vec(coupler_success);
     checkpoint_put_voq(out, voq);
     out.put_u64(events);
@@ -1065,9 +906,8 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     for (Shard& producer : shards) {
       for (int w = 0; w < threads; ++w) {
         auto& box = producer.outbox[static_cast<std::size_t>(w)];
-        if (rt_on) {
-          rt_shards[static_cast<std::size_t>(w)].mailbox_msgs_replayed +=
-              static_cast<std::int64_t>(box.size());
+        if (obs::ShardRuntime* const rt = runtime.at(w)) {
+          rt->mailbox_msgs_replayed += static_cast<std::int64_t>(box.size());
         }
         for (Mail& mail : box) {
           shards[static_cast<std::size_t>(w)].calendar.push_keyed(
@@ -1180,12 +1020,9 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     }
   };
 
-  const auto worker = [&](int w) {
+  const auto worker = [&](int w, obs::ShardRuntime* rt) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
     const auto& my_couplers = plan.couplers[static_cast<std::size_t>(w)];
-    obs::ShardRuntime* const rt =
-        rt_on ? &rt_shards[static_cast<std::size_t>(w)] : nullptr;
-    const std::int64_t loop_start = rt_on ? obs::runtime_now_ns() : 0;
     while (true) {
       // Cross-shard arrivals were already replayed onto this shard's
       // calendar by the window barrier's completion step.
@@ -1325,12 +1162,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
                          static_cast<std::size_t>(lookahead) +
                      k];
           const obs::EngineProbes& ids = tel->engine_probes();
-          frame.zero();
-          frame.set(ids.offered, shard.offered);
-          frame.set(ids.delivered, shard.delivered);
-          frame.set(ids.transmissions, shard.transmissions);
-          frame.set(ids.collisions, shard.collisions);
-          frame.set(ids.dropped, shard.dropped);
+          shard.snapshot(frame, ids);
           for (const hypergraph::HyperarcId h : my_couplers) {
             detail::observe_occupancy(frame, ids.occupancy, feed_, voq, h,
                                       h + 1);
@@ -1347,39 +1179,14 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
           rt->mailbox_bytes_sent +=
               static_cast<std::int64_t>(box.size() * sizeof(Mail));
         }
-        const std::int64_t t0 = obs::runtime_now_ns();
-        window_barrier.arrive_and_wait();
-        rt->barrier_wait_ns += obs::runtime_now_ns() - t0;
-      } else {
-        window_barrier.arrive_and_wait();
       }
+      detail::timed_wait(window_barrier, rt);
       if (!running) {
         break;
       }
     }
-    if (rt != nullptr) {
-      rt->work_ns +=
-          obs::runtime_now_ns() - loop_start - rt->barrier_wait_ns;
-    }
   };
-
-  const std::int64_t run_start = rt_on ? obs::runtime_now_ns() : 0;
-  if (threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      pool.emplace_back(worker, w);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
-  if (rt_on) {
-    rts->record_shards("async_sharded", "open_loop",
-                       obs::runtime_now_ns() - run_start, rt_shards);
-  }
+  runtime.run(threads, "async_sharded", "open_loop", worker);
 
   if (ckpt_error != nullptr) {
     std::rethrow_exception(ckpt_error);
@@ -1404,25 +1211,16 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     }
   }
 
-  for (Shard& shard : shards) {
-    metrics.offered_packets += shard.offered;
-    metrics.delivered_packets += shard.delivered;
-    metrics.dropped_packets += shard.dropped;
-    metrics.coupler_transmissions += shard.transmissions;
-    metrics.collisions += shard.collisions;
-    metrics.latency.merge(shard.latency);
+  for (const Shard& shard : shards) {
+    shard.fold_into(metrics);
     inflight += shard.inflight_delta;
   }
   metrics.backlog = inflight;
   metrics.interrupted = interrupted;
   if (tel != nullptr && !interrupted) {
     windows.finish();
-    detail::fill_metric_probes(*tel, metrics, inflight);
-    obs::ProbeRegistry& reg = tel->probes();
-    reg.set(tel->engine_probes().pending_events, 0);
-    const obs::ProbeId hist = tel->engine_probes().occupancy;
-    reg.clear_histogram(hist);
-    detail::observe_occupancy(reg, hist, feed_, voq, 0, couplers_);
+    detail::fill_metric_probes(*tel, metrics, inflight, feed_, voq);
+    tel->probes().set(tel->engine_probes().pending_events, 0);
     tel->finish(tel_last);
   }
   return metrics;
@@ -1431,8 +1229,10 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
 template <routing::RouteView Routes>
 RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
     std::vector<std::int64_t>& coupler_success) {
-  const int threads = clamp_threads();
-  const ShardPlan plan = plan_shards(threads);
+  const int threads =
+      detail::clamp_threads(config_.threads, nodes_, couplers_);
+  const detail::ShardPlan plan =
+      detail::plan_shards(threads, voq_base_, feed_);
   coupler_success.assign(static_cast<std::size_t>(couplers_), 0);
   workload::Workload& load = *config_.workload;
   load.reset();
@@ -1468,14 +1268,10 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
     Arrival arrival;
   };
 
-  struct Shard {
+  struct Shard : detail::ShardTally {
     std::int64_t node_begin = 0, node_end = 0;
-    std::int64_t offered = 0, delivered = 0;
-    std::int64_t transmissions = 0, collisions = 0;
-    std::int64_t inflight_delta = 0;
     std::int64_t events_delta = 0;
     SimTime makespan_tick = 0;
-    LatencyStats latency;
     CalendarQueue<Arrival> calendar;
     std::vector<std::int64_t> delivered_ids;  ///< workload ids this slot
     std::vector<std::vector<Mail>> outbox;
@@ -1483,51 +1279,30 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
     std::vector<std::uint64_t> request;
   };
   std::vector<Shard> shards(static_cast<std::size_t>(threads));
-  const std::size_t req_words = max_mask_words(feed_);
+  const std::size_t req_words = detail::max_mask_words(feed_);
   for (int w = 0; w < threads; ++w) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
     shard.node_begin = plan.node_cut[static_cast<std::size_t>(w)];
     shard.node_end = plan.node_cut[static_cast<std::size_t>(w) + 1];
     shard.outbox.resize(static_cast<std::size_t>(threads));
     shard.request.assign(req_words, 0);
-    if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
-      shard.latency.use_sketch();
-    }
-    shard.latency.reserve(
-        std::min(load.packet_count() / threads + 1, kLatencyReserveCap));
-    for (std::int64_t qi =
-             voq_base_[static_cast<std::size_t>(shard.node_begin)];
-         qi < voq_base_[static_cast<std::size_t>(shard.node_end)]; ++qi) {
-      voq.set_pool(static_cast<std::size_t>(qi),
-                   static_cast<std::uint32_t>(w));
-    }
+    shard.latency.prepare(
+        resolve_latency_sketch(config_.latency_mode, nodes_),
+        load.packet_count() / threads + 1);
+    detail::assign_pool(voq, voq_base_, shard.node_begin, shard.node_end, w);
   }
 
   std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
 
   obs::Telemetry* const tel = config_.telemetry.get();
-  obs::WindowSpans windows;
+  obs::WindowSpans windows(tel, 0, bound + 1);
   SimTime tel_last = 0;
-  std::vector<obs::ProbeRegistry> frames;
-  if (tel != nullptr) {
-    if (tel->trace_sink() != nullptr) {
-      windows = obs::WindowSpans(tel->trace_sink(), tel->tid(), 0, bound + 1);
-    }
-    if (tel->sampling()) {
-      frames.reserve(static_cast<std::size_t>(threads));
-      for (int w = 0; w < threads; ++w) {
-        frames.push_back(tel->probes().clone_schema());
-      }
-    }
-  }
+  std::vector<obs::ProbeRegistry> frames = detail::probe_frames(tel, threads);
 
   // Runtime channel: as in the open-loop sharded mode, except replays
   // are counted worker-side (each consumer drains its own mailboxes in
   // phase A here).
-  obs::RuntimeStats* const rts = config_.runtime_stats.get();
-  const bool rt_on = rts != nullptr && rts->active();
-  std::vector<obs::ShardRuntime> rt_shards(
-      rt_on ? static_cast<std::size_t>(threads) : 0);
+  detail::ShardRuntimes runtime(config_.runtime_stats.get(), threads);
 
   // Slot state shared across workers; mutated only in the barriers'
   // completion steps. `inject` is read-only during phases.
@@ -1579,13 +1354,8 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
     if (tel != nullptr) {
       windows.at_slot(now);
       if (tel->due(now)) {
-        obs::ProbeRegistry& reg = tel->probes();
-        reg.zero();
-        for (const obs::ProbeRegistry& frame : frames) {
-          reg.accumulate(frame);
-        }
-        reg.set(tel->engine_probes().backlog, inflight);
-        reg.set(tel->engine_probes().pending_events, pending_total);
+        detail::merge_frames(*tel, frames, inflight);
+        tel->probes().set(tel->engine_probes().pending_events, pending_total);
         tel->sample(now);
       }
       tel_last = now;
@@ -1597,8 +1367,8 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
   std::barrier<decltype(on_slot_end)> slot_barrier(threads, on_slot_end);
 
   // queue_capacity is 0 in workload mode (validated): never drops.
-  const auto enqueue = [&](Shard& shard, const VoqEntry& entry,
-                           hypergraph::Node at, SimTime tick) {
+  const auto enqueue = [&](const VoqEntry& entry, hypergraph::Node at,
+                           SimTime tick) {
     const std::int32_t slot = routes_.next_slot(at, entry.destination);
     const std::size_t qi = static_cast<std::size_t>(
         voq_base_[static_cast<std::size_t>(at)] + slot);
@@ -1624,25 +1394,13 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
       }
       --shard.inflight_delta;
     } else {
-      enqueue(shard, arrival.entry, relay, tick);
+      enqueue(arrival.entry, relay, tick);
     }
   };
 
-  const auto worker = [&](int w) {
+  const auto worker = [&](int w, obs::ShardRuntime* rt) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
     const auto& my_couplers = plan.couplers[static_cast<std::size_t>(w)];
-    obs::ShardRuntime* const rt =
-        rt_on ? &rt_shards[static_cast<std::size_t>(w)] : nullptr;
-    const auto timed_wait = [&](auto& barrier) {
-      if (rt == nullptr) {
-        barrier.arrive_and_wait();
-        return;
-      }
-      const std::int64_t t0 = obs::runtime_now_ns();
-      barrier.arrive_and_wait();
-      rt->barrier_wait_ns += obs::runtime_now_ns() - t0;
-    };
-    const std::int64_t loop_start = rt_on ? obs::runtime_now_ns() : 0;
     while (true) {
       const SimTime slot_tick = ticks_from_slots(now);
 
@@ -1676,7 +1434,7 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
         --shard.events_delta;
         receive(shard, event.payload, event.time);
       }
-      timed_wait(receive_barrier);
+      detail::timed_wait(receive_barrier, rt);
       if (!running) {
         break;
       }
@@ -1690,7 +1448,7 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
         }
         ++shard.offered;
         ++shard.inflight_delta;
-        enqueue(shard, VoqEntry{packet.id, packet.destination, slot_tick, 0},
+        enqueue(VoqEntry{packet.id, packet.destination, slot_tick, 0},
                 packet.source, slot_tick);
       }
       if (!load_done) {
@@ -1706,8 +1464,7 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
           if (config_.recorder != nullptr) {
             config_.recorder->record(now, d.source, d.destination);
           }
-          enqueue(shard,
-                  VoqEntry{background_base + now * nodes_ + d.source,
+          enqueue(VoqEntry{background_base + now * nodes_ + d.source,
                            d.destination, slot_tick, 0},
                   d.source, slot_tick);
         }
@@ -1790,11 +1547,7 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
         // whose coupler feeds span other shards' nodes).
         obs::ProbeRegistry& frame = frames[static_cast<std::size_t>(w)];
         const obs::EngineProbes& ids = tel->engine_probes();
-        frame.zero();
-        frame.set(ids.offered, shard.offered);
-        frame.set(ids.delivered, shard.delivered);
-        frame.set(ids.transmissions, shard.transmissions);
-        frame.set(ids.collisions, shard.collisions);
+        shard.snapshot(frame, ids);
         for (const hypergraph::HyperarcId h : my_couplers) {
           detail::observe_occupancy(frame, ids.occupancy, feed_, voq, h,
                                     h + 1);
@@ -1809,54 +1562,25 @@ RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
               static_cast<std::int64_t>(box.size() * sizeof(Mail));
         }
       }
-      timed_wait(slot_barrier);
-    }
-    if (rt != nullptr) {
-      rt->work_ns +=
-          obs::runtime_now_ns() - loop_start - rt->barrier_wait_ns;
+      detail::timed_wait(slot_barrier, rt);
     }
   };
-
-  const std::int64_t run_start = rt_on ? obs::runtime_now_ns() : 0;
-  if (threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      pool.emplace_back(worker, w);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
-  if (rt_on) {
-    rts->record_shards("async_sharded", "workload",
-                       obs::runtime_now_ns() - run_start, rt_shards);
-  }
+  runtime.run(threads, "async_sharded", "workload", worker);
 
   // No final flush: the serial workload loop leaves undeliverable
   // events pending too and reports them as backlog.
   metrics.slots = now;
   SimTime makespan_tick = 0;
-  for (Shard& shard : shards) {
-    metrics.offered_packets += shard.offered;
-    metrics.delivered_packets += shard.delivered;
-    metrics.coupler_transmissions += shard.transmissions;
-    metrics.collisions += shard.collisions;
-    metrics.latency.merge(shard.latency);
+  for (const Shard& shard : shards) {
+    shard.fold_into(metrics);
     makespan_tick = std::max(makespan_tick, shard.makespan_tick);
   }
   metrics.makespan_slots = (makespan_tick + kTicksPerSlot - 1) / kTicksPerSlot;
   metrics.backlog = inflight;
   if (tel != nullptr) {
     windows.finish();
-    detail::fill_metric_probes(*tel, metrics, inflight);
-    obs::ProbeRegistry& reg = tel->probes();
-    reg.set(tel->engine_probes().pending_events, pending_total);
-    const obs::ProbeId hist = tel->engine_probes().occupancy;
-    reg.clear_histogram(hist);
-    detail::observe_occupancy(reg, hist, feed_, voq, 0, couplers_);
+    detail::fill_metric_probes(*tel, metrics, inflight, feed_, voq);
+    tel->probes().set(tel->engine_probes().pending_events, pending_total);
     tel->finish(tel_last);
   }
   return metrics;

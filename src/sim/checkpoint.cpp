@@ -3,6 +3,7 @@
 #include <array>
 #include <exception>
 
+#include "core/log.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/ops_network.hpp"
 
@@ -84,6 +85,16 @@ bool checkpoint_load(const std::string& path, const SimConfig& config,
   if (!core::read_file(path, bytes)) {
     return false;
   }
+  constexpr std::size_t kTrailer = 8;
+  if (bytes.size() < kTrailer ||
+      core::BlobReader(bytes.data() + bytes.size() - kTrailer, kTrailer)
+              .get_u64() !=
+          core::blob_checksum(bytes.data(), bytes.size() - kTrailer)) {
+    OTIS_LOG_WARN("checkpoint " << path << ": damaged or truncated blob "
+                  "(checksum mismatch); running the cell from slot 0");
+    return false;
+  }
+  bytes.resize(bytes.size() - kTrailer);
   try {
     core::BlobReader header(bytes);
     return checkpoint_read_header(header, config, nodes, couplers);
@@ -92,7 +103,8 @@ bool checkpoint_load(const std::string& path, const SimConfig& config,
   }
 }
 
-void checkpoint_store(const std::string& path, const core::BlobWriter& out) {
+void checkpoint_store(const std::string& path, core::BlobWriter& out) {
+  out.put_u64(core::blob_checksum(out.bytes().data(), out.bytes().size()));
   core::write_file_atomic(path, out.bytes());
 }
 

@@ -5,6 +5,13 @@
 /// A checkpoint blob is a fixed little-endian layout (core/blob.hpp):
 ///
 ///   [magic "OTISCKP1"] [version u64] [config fingerprint] [engine payload]
+///   [checksum u64]
+///
+/// The trailer is core::blob_checksum over every byte before it. A blob
+/// whose trailer does not match -- a flipped byte, a truncated write --
+/// is reported with a warning and ignored, so the cell reruns from slot
+/// 0 (deterministically: its outputs are unchanged) instead of resuming
+/// from garbage or killing the campaign.
 ///
 /// The fingerprint pins everything the payload's meaning depends on --
 /// engine, seed, window sizes, queue capacity, wavelengths, arbitration,
@@ -34,7 +41,7 @@ namespace otis::sim {
 struct SimConfig;
 
 /// Blob layout version; bump on any payload format change.
-inline constexpr std::uint64_t kCheckpointVersion = 1;
+inline constexpr std::uint64_t kCheckpointVersion = 2;
 
 /// Appends magic, version and the config fingerprint to `out`. Engines
 /// call this first, then append their payload.
@@ -50,9 +57,10 @@ void checkpoint_write_header(core::BlobWriter& out, const SimConfig& config,
                                           std::int64_t nodes,
                                           std::int64_t couplers);
 
-/// Reads the blob at `path` into `bytes` and checks its header against
-/// (config, nodes, couplers). Returns true only when a full, matching
-/// checkpoint is present; any failure (missing file, truncation, wrong
+/// Reads the blob at `path` into `bytes`, verifies and strips its
+/// checksum trailer, and checks its header against (config, nodes,
+/// couplers). Returns true only when an intact, matching checkpoint is
+/// present; any failure (missing file, damage or truncation, wrong
 /// fingerprint) returns false and the caller runs from slot 0. Never
 /// throws.
 [[nodiscard]] bool checkpoint_load(const std::string& path,
@@ -60,10 +68,10 @@ void checkpoint_write_header(core::BlobWriter& out, const SimConfig& config,
                                    std::int64_t couplers,
                                    std::vector<std::uint8_t>& bytes);
 
-/// Writes a finished blob to `config.checkpoint_path` atomically
-/// (tmp + rename), so a crash mid-write never corrupts the previous
-/// checkpoint.
-void checkpoint_store(const std::string& path, const core::BlobWriter& out);
+/// Appends the checksum trailer to a finished blob and writes it to
+/// `path` atomically (tmp + rename), so a crash mid-write never corrupts
+/// the previous checkpoint.
+void checkpoint_store(const std::string& path, core::BlobWriter& out);
 
 /// RunMetrics round-trip (the latency representation -- full samples or
 /// sketch -- is part of the encoding).

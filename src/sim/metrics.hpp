@@ -65,6 +65,16 @@ class LatencyStats {
 
   [[nodiscard]] bool sketch() const noexcept { return sketch_; }
 
+  /// Engines' one-call setup before the first record(): selects the
+  /// representation, then reserves for `expected` samples clamped to
+  /// kLatencyReserveCap.
+  void prepare(bool sketch, std::int64_t expected) {
+    if (sketch) {
+      use_sketch();
+    }
+    reserve(std::min(expected, kLatencyReserveCap));
+  }
+
   /// Pre-sizes the sample buffer so the hot loop's record() never
   /// reallocates mid-run; engines call this once with their delivery
   /// bound clamped to kLatencyReserveCap. A no-op in sketch mode (the

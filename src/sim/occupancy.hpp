@@ -20,15 +20,19 @@
 ///    count-trailing-zeros scan instead of touching their queues at all,
 ///    and pick_winners consumes the request words directly.
 ///
-/// The sharded engine does not share these masks across threads (that
-/// would put atomics on the hot path); it rebuilds a coupler's request
-/// word locally from the FeedIndex during its arbitration phase.
+/// No mask word is ever shared across threads (that would put atomics
+/// on the hot path). The closed-loop phased loop gives each feed-local
+/// shard its own OccupancyMasks, in which only the shard's couplers ever
+/// get bits; the other sharded loops rebuild a coupler's request words
+/// from the FeedIndex during arbitration instead.
 
 #include <cstdint>
 #include <vector>
 
 #include "hypergraph/stack_graph.hpp"
 #include "obs/probe.hpp"
+#include "obs/telemetry.hpp"
+#include "sim/metrics.hpp"
 
 namespace otis::sim::detail {
 
@@ -135,6 +139,27 @@ void observe_occupancy(obs::ProbeRegistry& reg, obs::ProbeId hist,
     }
     reg.observe(hist, queued);
   }
+}
+
+/// Refreshes the engine-standard counter/gauge probes from a metrics
+/// snapshot and re-observes every coupler into the occupancy histogram
+/// (pending_events is the async engines' own). Shared by the phased and
+/// async engines so probe values always mean the same thing.
+template <class Arena>
+void fill_metric_probes(obs::Telemetry& tel, const RunMetrics& m,
+                        std::int64_t backlog, const FeedIndex& fi,
+                        const Arena& voq) {
+  obs::ProbeRegistry& reg = tel.probes();
+  const obs::EngineProbes& ids = tel.engine_probes();
+  reg.set(ids.offered, m.offered_packets);
+  reg.set(ids.delivered, m.delivered_packets);
+  reg.set(ids.transmissions, m.coupler_transmissions);
+  reg.set(ids.collisions, m.collisions);
+  reg.set(ids.dropped, m.dropped_packets);
+  reg.set(ids.backlog, backlog);
+  reg.clear_histogram(ids.occupancy);
+  observe_occupancy(reg, ids.occupancy, fi, voq, 0,
+                    static_cast<std::int64_t>(fi.coupler_count()));
 }
 
 }  // namespace otis::sim::detail

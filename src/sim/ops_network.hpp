@@ -110,22 +110,6 @@ inline std::vector<core::Rng> coupler_streams(std::uint64_t seed,
 inline SimTime workload_slot_bound(const workload::Workload& load) {
   return 1'000'000 + 64 * load.packet_count();
 }
-
-/// Refreshes the engine-standard counter/gauge probes from a metrics
-/// snapshot (occupancy and pending_events are engine-specific; see
-/// detail::observe_occupancy in occupancy.hpp). Shared by the phased
-/// and async engines so probe values always mean the same thing.
-inline void fill_metric_probes(obs::Telemetry& tel, const RunMetrics& m,
-                               std::int64_t backlog) {
-  obs::ProbeRegistry& reg = tel.probes();
-  const obs::EngineProbes& ids = tel.engine_probes();
-  reg.set(ids.offered, m.offered_packets);
-  reg.set(ids.delivered, m.delivered_packets);
-  reg.set(ids.transmissions, m.coupler_transmissions);
-  reg.set(ids.collisions, m.collisions);
-  reg.set(ids.dropped, m.dropped_packets);
-  reg.set(ids.backlog, backlog);
-}
 }  // namespace detail
 
 /// Coupler-contention resolution policies.

@@ -5,12 +5,12 @@
 #include <bit>
 #include <chrono>
 #include <exception>
-#include <thread>
 #include <utility>
 
 #include "core/error.hpp"
 #include "sim/arbitration.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/sharding.hpp"
 
 namespace otis::sim {
 namespace {
@@ -32,21 +32,11 @@ std::pair<std::int64_t, std::int64_t> partition(std::int64_t count, int part,
   return {lo, hi};
 }
 
-/// How far ahead the phase-3 delivery walks prefetch relay entries.
+/// How far ahead the delivery walks prefetch relay entries.
 /// Deliveries for one coupler land on scattered relay-table rows, so a
 /// short look-ahead hides the load latency without thrashing the
 /// prefetch queue.
 constexpr std::size_t kRelayPrefetchAhead = 8;
-
-/// Widest request mask of any coupler, in words (per-shard scratch size).
-std::size_t max_mask_words(const detail::FeedIndex& fi) {
-  std::size_t widest = 1;
-  for (std::size_t h = 0; h < fi.coupler_count(); ++h) {
-    widest = std::max(widest, static_cast<std::size_t>(fi.mask_base[h + 1] -
-                                                       fi.mask_base[h]));
-  }
-  return widest;
-}
 
 }  // namespace
 
@@ -77,9 +67,7 @@ RunMetrics PhasedEngineT<Routes>::run(
     std::vector<std::int64_t>& coupler_success) {
   coupler_success.assign(static_cast<std::size_t>(couplers_), 0);
   if (config_.workload != nullptr) {
-    return config_.engine == Engine::kSharded
-               ? run_workload_sharded(coupler_success)
-               : run_workload_serial(coupler_success);
+    return run_workload(coupler_success);
   }
   if (config_.engine == Engine::kSharded) {
     return run_sharded(coupler_success);
@@ -93,11 +81,9 @@ RunMetrics PhasedEngineT<Routes>::run_serial(
   core::Rng rng = core::Rng::stream(config_.seed, kRunStream);
   RunMetrics metrics;
   metrics.slots = config_.measure_slots;
-  if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
-    metrics.latency.use_sketch();
-  }
-  metrics.latency.reserve(
-      std::min(config_.measure_slots * nodes_, kLatencyReserveCap));
+  metrics.latency.prepare(
+      resolve_latency_sketch(config_.latency_mode, nodes_),
+      config_.measure_slots * nodes_);
 
   const SimTime horizon = config_.warmup_slots + config_.measure_slots;
   const SimTime drain_bound = horizon + 1'000'000;
@@ -135,20 +121,8 @@ RunMetrics PhasedEngineT<Routes>::run_serial(
   // Telemetry: one pointer test per slot when detached; sampling work
   // only at tel->due() boundaries. State reads only -- never RNG.
   obs::Telemetry* const tel = config_.telemetry.get();
-  obs::WindowSpans windows;
+  obs::WindowSpans windows(tel, config_.warmup_slots, horizon);
   SimTime tel_last = 0;
-  if (tel != nullptr && tel->trace_sink() != nullptr) {
-    windows = obs::WindowSpans(tel->trace_sink(), tel->tid(),
-                               config_.warmup_slots, horizon);
-  }
-  const auto fill_probes = [&](const VoqArena& arena) {
-    detail::fill_metric_probes(*tel, metrics, inflight);
-    obs::ProbeRegistry& reg = tel->probes();
-    const obs::ProbeId hist = tel->engine_probes().occupancy;
-    reg.clear_histogram(hist);
-    detail::observe_occupancy(reg, hist, feed_, arena, 0, couplers_);
-  };
-
   const auto enqueue = [&](const VoqEntry& entry, hypergraph::Node at,
                            bool measuring) {
     const std::int32_t slot = routes_.next_slot(at, entry.destination);
@@ -348,7 +322,7 @@ RunMetrics PhasedEngineT<Routes>::run_serial(
     if (tel != nullptr) {
       windows.at_slot(now);
       if (tel->due(now)) {
-        fill_probes(voq);
+        detail::fill_metric_probes(*tel, metrics, inflight, feed_, voq);
         tel->sample(now);
       }
       tel_last = now;
@@ -368,7 +342,7 @@ RunMetrics PhasedEngineT<Routes>::run_serial(
   metrics.backlog = inflight;
   if (tel != nullptr) {
     windows.finish();
-    fill_probes(voq);
+    detail::fill_metric_probes(*tel, metrics, inflight, feed_, voq);
     tel->finish(tel_last);
   }
   return metrics;
@@ -377,15 +351,8 @@ RunMetrics PhasedEngineT<Routes>::run_serial(
 template <routing::RouteView Routes>
 RunMetrics PhasedEngineT<Routes>::run_sharded(
     std::vector<std::int64_t>& coupler_success) {
-  int threads = config_.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads <= 0) {
-    threads = 1;
-  }
-  threads = static_cast<int>(std::min<std::int64_t>(
-      threads, std::max<std::int64_t>(1, std::max(nodes_, couplers_))));
+  const int threads =
+      detail::clamp_threads(config_.threads, nodes_, couplers_);
 
   // Per-unit RNG streams: the partition can never influence the draw.
   std::vector<core::Rng> gen_rng = node_streams(config_.seed, nodes_);
@@ -403,20 +370,14 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
   VoqArena voq;
   voq.init(static_cast<std::size_t>(voq_base_.back()),
            static_cast<std::size_t>(threads));
-  const std::size_t req_words = max_mask_words(feed_);
+  const std::size_t req_words = detail::max_mask_words(feed_);
 
-  struct Shard {
+  struct Shard : detail::ShardTally {
     std::int64_t node_begin = 0, node_end = 0;
     std::int64_t coupler_begin = 0, coupler_end = 0;
-    std::int64_t offered = 0, delivered = 0, dropped = 0;
-    std::int64_t transmissions = 0, collisions = 0;
-    std::int64_t inflight_delta = 0;
-    LatencyStats latency;
     std::vector<std::size_t> winners, scratch;
     std::vector<std::uint64_t> request;  ///< local per-coupler rebuild
   };
-  const bool latency_sketch =
-      resolve_latency_sketch(config_.latency_mode, nodes_);
   std::vector<Shard> shards(static_cast<std::size_t>(threads));
   for (int w = 0; w < threads; ++w) {
     auto [nb, ne] = partition(nodes_, w, threads);
@@ -427,18 +388,12 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
     shard.coupler_begin = cb;
     shard.coupler_end = ce;
     shard.request.assign(req_words, 0);
-    if (latency_sketch) {
-      shard.latency.use_sketch();
-    }
-    shard.latency.reserve(
-        std::min(config_.measure_slots * (ne - nb), kLatencyReserveCap));
+    shard.latency.prepare(
+        resolve_latency_sketch(config_.latency_mode, nodes_),
+        config_.measure_slots * (ne - nb));
     // Every queue of the shard's nodes pushes from this shard only (its
     // own phase-1/3 enqueues), so growth stays inside the shard's pool.
-    for (std::int64_t qi = voq_base_[static_cast<std::size_t>(nb)];
-         qi < voq_base_[static_cast<std::size_t>(ne)]; ++qi) {
-      voq.set_pool(static_cast<std::size_t>(qi),
-                   static_cast<std::uint32_t>(w));
-    }
+    detail::assign_pool(voq, voq_base_, nb, ne, w);
   }
 
   const SimTime horizon = config_.warmup_slots + config_.measure_slots;
@@ -452,27 +407,13 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
   // values are sums over ALL nodes/couplers, so they cannot depend on
   // the partition (= thread count).
   obs::Telemetry* const tel = config_.telemetry.get();
-  obs::WindowSpans windows;
+  obs::WindowSpans windows(tel, config_.warmup_slots, horizon);
   SimTime tel_last = 0;
-  std::vector<obs::ProbeRegistry> frames;
-  if (tel != nullptr) {
-    if (tel->trace_sink() != nullptr) {
-      windows = obs::WindowSpans(tel->trace_sink(), tel->tid(),
-                                 config_.warmup_slots, horizon);
-    }
-    frames.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      frames.push_back(tel->probes().clone_schema());
-    }
-  }
+  std::vector<obs::ProbeRegistry> frames = detail::probe_frames(tel, threads);
 
   // Runtime channel (obs/runtime_stats.hpp): wall-clock barrier/work
-  // accounting, one private slot per shard. The flag is captured once,
-  // so an attached-but-disabled session never reaches the loop.
-  obs::RuntimeStats* const rts = config_.runtime_stats.get();
-  const bool rt_on = rts != nullptr && rts->active();
-  std::vector<obs::ShardRuntime> rt_shards(
-      rt_on ? static_cast<std::size_t>(threads) : 0);
+  // accounting, one private row per shard.
+  detail::ShardRuntimes runtime(config_.runtime_stats.get(), threads);
 
   // Slot state shared across workers; mutated only by the slot barrier's
   // completion step, which runs while every worker is blocked.
@@ -502,23 +443,16 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
       out.put_rng(r);
     }
     out.put_i64_vec(token_);
-    std::int64_t offered = 0, delivered = 0, dropped = 0;
-    std::int64_t transmissions = 0, collisions = 0;
-    LatencyStats latency;
+    RunMetrics fold;
     for (const Shard& shard : shards) {
-      offered += shard.offered;
-      delivered += shard.delivered;
-      dropped += shard.dropped;
-      transmissions += shard.transmissions;
-      collisions += shard.collisions;
-      latency.merge(shard.latency);
+      shard.fold_into(fold);
     }
-    out.put_i64(offered);
-    out.put_i64(delivered);
-    out.put_i64(dropped);
-    out.put_i64(transmissions);
-    out.put_i64(collisions);
-    latency.serialize(out);
+    out.put_i64(fold.offered_packets);
+    out.put_i64(fold.delivered_packets);
+    out.put_i64(fold.dropped_packets);
+    out.put_i64(fold.coupler_transmissions);
+    out.put_i64(fold.collisions);
+    fold.latency.serialize(out);
     out.put_i64_vec(coupler_success);
     checkpoint_put_voq(out, voq);
     std::vector<std::int64_t> traffic_state;
@@ -567,13 +501,8 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
     if (tel != nullptr) {
       windows.at_slot(now);
       if (tel->due(now)) {
-        obs::ProbeRegistry& reg = tel->probes();
-        reg.zero();
-        for (const obs::ProbeRegistry& frame : frames) {
-          reg.accumulate(frame);
-        }
         // Backlog is global state only the completion step knows.
-        reg.set(tel->engine_probes().backlog, inflight);
+        detail::merge_frames(*tel, frames, inflight);
         tel->sample(now);
       }
       tel_last = now;
@@ -609,20 +538,8 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
   std::barrier<> phase_barrier(threads);
   std::barrier<decltype(on_slot_end)> slot_barrier(threads, on_slot_end);
 
-  const auto worker = [&](int w) {
+  const auto worker = [&](int w, obs::ShardRuntime* rt) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
-    obs::ShardRuntime* const rt =
-        rt_on ? &rt_shards[static_cast<std::size_t>(w)] : nullptr;
-    const auto timed_wait = [&](auto& barrier) {
-      if (rt == nullptr) {
-        barrier.arrive_and_wait();
-        return;
-      }
-      const std::int64_t t0 = obs::runtime_now_ns();
-      barrier.arrive_and_wait();
-      rt->barrier_wait_ns += obs::runtime_now_ns() - t0;
-    };
-    const std::int64_t loop_start = rt_on ? obs::runtime_now_ns() : 0;
     const auto enqueue = [&](const VoqEntry& entry, hypergraph::Node at,
                              bool measuring) {
       const std::int32_t slot = routes_.next_slot(at, entry.destination);
@@ -663,7 +580,7 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
                   d.source, measuring);
         }
       }
-      timed_wait(phase_barrier);
+      detail::timed_wait(phase_barrier, rt);
 
       // Phase 2: arbitration over the shard's couplers. The request
       // words are rebuilt locally from the arena (no shared masks, no
@@ -716,7 +633,7 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
           out.push_back(entry);
         }
       }
-      timed_wait(phase_barrier);
+      detail::timed_wait(phase_barrier, rt);
 
       // Phase 3: every worker scans all deliveries in coupler order and
       // consumes the ones whose relay it owns, so the push order at each
@@ -751,15 +668,10 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
         // phase-3 pushes visible, then each worker snapshots its own
         // counters and coupler range into its private frame. All
         // workers agree on due(now) -- `now` is slot-barrier state.
-        timed_wait(phase_barrier);
+        detail::timed_wait(phase_barrier, rt);
         obs::ProbeRegistry& frame = frames[static_cast<std::size_t>(w)];
         const obs::EngineProbes& ids = tel->engine_probes();
-        frame.zero();
-        frame.set(ids.offered, shard.offered);
-        frame.set(ids.delivered, shard.delivered);
-        frame.set(ids.transmissions, shard.transmissions);
-        frame.set(ids.collisions, shard.collisions);
-        frame.set(ids.dropped, shard.dropped);
+        shard.snapshot(frame, ids);
         detail::observe_occupancy(frame, ids.occupancy, feed_, voq,
                                   shard.coupler_begin, shard.coupler_end);
       }
@@ -769,34 +681,13 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
         ++rt->lookahead_used;
         ++rt->lookahead_available;
       }
-      timed_wait(slot_barrier);
+      detail::timed_wait(slot_barrier, rt);
       if (!running) {
         break;
       }
     }
-    if (rt != nullptr) {
-      rt->work_ns +=
-          obs::runtime_now_ns() - loop_start - rt->barrier_wait_ns;
-    }
   };
-
-  const std::int64_t run_start = rt_on ? obs::runtime_now_ns() : 0;
-  if (threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      pool.emplace_back(worker, w);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
-  if (rt_on) {
-    rts->record_shards("phased_sharded", "open_loop",
-                       obs::runtime_now_ns() - run_start, rt_shards);
-  }
+  runtime.run(threads, "phased_sharded", "open_loop", worker);
 
   if (ckpt_error != nullptr) {
     std::rethrow_exception(ckpt_error);
@@ -804,13 +695,8 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
 
   RunMetrics metrics;
   metrics.slots = config_.measure_slots;
-  for (Shard& shard : shards) {
-    metrics.offered_packets += shard.offered;
-    metrics.delivered_packets += shard.delivered;
-    metrics.dropped_packets += shard.dropped;
-    metrics.coupler_transmissions += shard.transmissions;
-    metrics.collisions += shard.collisions;
-    metrics.latency.merge(shard.latency);
+  for (const Shard& shard : shards) {
+    shard.fold_into(metrics);
   }
   metrics.backlog = inflight;
   metrics.interrupted = interrupted;
@@ -818,298 +704,90 @@ RunMetrics PhasedEngineT<Routes>::run_sharded(
   // resumed run continues the telemetry stream where this one stopped.
   if (tel != nullptr && !interrupted) {
     windows.finish();
-    detail::fill_metric_probes(*tel, metrics, inflight);
-    obs::ProbeRegistry& reg = tel->probes();
-    const obs::ProbeId hist = tel->engine_probes().occupancy;
-    reg.clear_histogram(hist);
-    detail::observe_occupancy(reg, hist, feed_, voq, 0, couplers_);
+    detail::fill_metric_probes(*tel, metrics, inflight, feed_, voq);
     tel->finish(tel_last);
   }
   return metrics;
 }
 
 template <routing::RouteView Routes>
-RunMetrics PhasedEngineT<Routes>::run_workload_serial(
+RunMetrics PhasedEngineT<Routes>::run_workload(
     std::vector<std::int64_t>& coupler_success) {
   workload::Workload& load = *config_.workload;
   load.reset();
 
-  // Workload contract: per-node generation streams and per-coupler
-  // arbitration streams on EVERY engine, so the run is one universe
-  // across phased/sharded/async (see ops_network.hpp detail tags).
+  // Engine::kPhased is this loop with one shard. Every engine draws
+  // workload randomness from the per-node/per-coupler streams (see
+  // ops_network.hpp detail tags), so no partition can move a draw.
+  const bool sharded = config_.engine == Engine::kSharded;
+  const int threads =
+      sharded ? detail::clamp_threads(config_.threads, nodes_, couplers_) : 1;
+  const detail::ShardPlan plan =
+      detail::plan_shards(threads, voq_base_, feed_);
   std::vector<core::Rng> gen_rng = node_streams(config_.seed, nodes_);
   std::vector<core::Rng> arb_rng = coupler_streams(config_.seed, couplers_);
 
-  RunMetrics metrics;
   const std::int64_t background_base = load.packet_count();
   const SimTime bound = workload_slot_bound(load);
-  std::int64_t inflight = 0;
-  bool load_done = false;  ///< as of the end of the previous slot
-
-  VoqArena voq;
-  voq.init(static_cast<std::size_t>(voq_base_.back()));
-  detail::OccupancyMasks masks;
-  masks.init(feed_);
-
-  std::vector<std::size_t> winners;
-  std::vector<std::size_t> scratch;
-  std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
-  struct Delivery {
-    VoqEntry entry;
-    hypergraph::HyperarcId coupler;
-  };
-  std::vector<Delivery> deliveries;
-  std::vector<workload::WorkloadPacket> inject;
-  std::vector<std::int64_t> delivered_ids;
   const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
   const Arbitration policy = config_.arbitration;
-  if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
-    metrics.latency.use_sketch();
-  }
-  metrics.latency.reserve(std::min(background_base, kLatencyReserveCap));
-
-  // Telemetry mirrors run_serial: one pointer test per slot when
-  // detached; closed-loop runs have no warmup, so the whole run is one
-  // "measure" window.
-  obs::Telemetry* const tel = config_.telemetry.get();
-  obs::WindowSpans windows;
-  SimTime tel_last = 0;
-  if (tel != nullptr && tel->trace_sink() != nullptr) {
-    windows = obs::WindowSpans(tel->trace_sink(), tel->tid(), 0, bound + 1);
-  }
-  const auto fill_probes = [&](const VoqArena& arena) {
-    detail::fill_metric_probes(*tel, metrics, inflight);
-    obs::ProbeRegistry& reg = tel->probes();
-    const obs::ProbeId hist = tel->engine_probes().occupancy;
-    reg.clear_histogram(hist);
-    detail::observe_occupancy(reg, hist, feed_, arena, 0, couplers_);
-  };
-
-  // queue_capacity is 0 in workload mode (validated), so enqueue never
-  // drops.
-  const auto enqueue = [&](const VoqEntry& entry, hypergraph::Node at) {
-    const std::int32_t slot = routes_.next_slot(at, entry.destination);
-    const std::size_t qi = static_cast<std::size_t>(
-        voq_base_[static_cast<std::size_t>(at)] + slot);
-    const std::size_t size = voq.size(qi);
-    voq.push(qi, entry);
-    if (size == 0) {
-      masks.mark_nonempty(feed_, qi);
-    }
-  };
-
-  load.poll(0, inject);
-  SimTime now = 0;
-  for (;;) {
-    // Phase 1a: inject the packets that became eligible, in the
-    // workload's (id-sorted) order.
-    for (const workload::WorkloadPacket& packet : inject) {
-      ++metrics.offered_packets;
-      ++inflight;
-      enqueue(VoqEntry{packet.id, packet.destination, now, 0}, packet.source);
-    }
-    inject.clear();
-    // Phase 1b: open-loop background traffic until the workload is
-    // complete (load 0 generators never fire).
-    if (!load_done) {
-      const std::size_t sender_count = traffic_.demand_batch_senders_streams(
-          0, nodes_, gen_rng.data(), senders.data());
-      metrics.offered_packets += static_cast<std::int64_t>(sender_count);
-      inflight += static_cast<std::int64_t>(sender_count);
-      for (std::size_t i = 0; i < sender_count; ++i) {
-        const SenderDemand d = senders[i];
-        if (config_.recorder != nullptr) {
-          config_.recorder->record(now, d.source, d.destination);
-        }
-        enqueue(VoqEntry{background_base + now * nodes_ + d.source,
-                         d.destination, now, 0},
-                d.source);
-      }
-    }
-
-    // Phase 2: arbitration, drawing from the coupler's own stream.
-    deliveries.clear();
-    for (std::size_t aw = 0; aw < masks.active.size(); ++aw) {
-      std::uint64_t aword = masks.active[aw];
-      while (aword != 0) {
-        const std::size_t h =
-            (aw << 6) + static_cast<std::size_t>(std::countr_zero(aword));
-        aword &= aword - 1;
-        const std::size_t fb = static_cast<std::size_t>(feed_.feed_base[h]);
-        const std::size_t source_count =
-            static_cast<std::size_t>(feed_.feed_base[h + 1]) - fb;
-        const std::size_t mb = static_cast<std::size_t>(feed_.mask_base[h]);
-        const std::size_t words =
-            static_cast<std::size_t>(feed_.mask_base[h + 1]) - mb;
-        const bool collided = detail::pick_winners(
-            policy, capacity, source_count, masks.request.data() + mb, words,
-            token_[h], arb_rng[h], winners, scratch);
-        if (collided) {
-          ++metrics.collisions;
-        }
-        for (std::size_t si : winners) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-          VoqEntry entry = voq.pop_front(qi);
-          if (voq.empty(qi)) {
-            masks.mark_empty(feed_, qi);
-          }
-          ++entry.hops;
-          ++metrics.coupler_transmissions;
-          ++coupler_success[h];
-          deliveries.push_back(
-              Delivery{entry, static_cast<hypergraph::HyperarcId>(h)});
-        }
-      }
-    }
-
-    // Phase 3: consume winners; workload deliveries feed back.
-    delivered_ids.clear();
-    for (std::size_t di = 0; di < deliveries.size(); ++di) {
-      if (di + kRelayPrefetchAhead < deliveries.size()) {
-        const Delivery& ahead = deliveries[di + kRelayPrefetchAhead];
-        routes_.prefetch_relay(ahead.coupler, ahead.entry.destination);
-      }
-      Delivery& d = deliveries[di];
-      const hypergraph::Node relay =
-          routes_.relay(d.coupler, d.entry.destination);
-      if (relay == d.entry.destination) {
-        ++metrics.delivered_packets;
-        metrics.latency.record(now - d.entry.created + 1);
-        if (d.entry.id < background_base) {
-          delivered_ids.push_back(d.entry.id);
-        }
-        --inflight;
-      } else {
-        enqueue(d.entry, relay);
-      }
-    }
-    for (std::int64_t id : delivered_ids) {
-      load.delivered(id);
-    }
-    if (!delivered_ids.empty()) {
-      metrics.makespan_slots = now + 1;
-    }
-    load_done = load.done();
-    if (tel != nullptr) {
-      windows.at_slot(now);
-      if (tel->due(now)) {
-        fill_probes(voq);
-        tel->sample(now);
-      }
-      tel_last = now;
-    }
-
-    if (load_done && inflight == 0) {
-      break;
-    }
-    ++now;
-    if (now > bound) {
-      break;
-    }
-    if (!load_done) {
-      load.poll(now, inject);
-    }
-  }
-
-  metrics.slots = now + 1;
-  metrics.backlog = inflight;
-  if (tel != nullptr) {
-    windows.finish();
-    fill_probes(voq);
-    tel->finish(tel_last);
-  }
-  return metrics;
-}
-
-template <routing::RouteView Routes>
-RunMetrics PhasedEngineT<Routes>::run_workload_sharded(
-    std::vector<std::int64_t>& coupler_success) {
-  workload::Workload& load = *config_.workload;
-  load.reset();
-
-  int threads = config_.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads <= 0) {
-    threads = 1;
-  }
-  threads = static_cast<int>(std::min<std::int64_t>(
-      threads, std::max<std::int64_t>(1, std::max(nodes_, couplers_))));
-
-  std::vector<core::Rng> gen_rng = node_streams(config_.seed, nodes_);
-  std::vector<core::Rng> arb_rng = coupler_streams(config_.seed, couplers_);
-
-  std::vector<std::vector<VoqEntry>> deliveries(
-      static_cast<std::size_t>(couplers_));
-  /// Compact senders; disjoint per-shard slices at node_begin offsets.
-  std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
 
   VoqArena voq;
   voq.init(static_cast<std::size_t>(voq_base_.back()),
            static_cast<std::size_t>(threads));
-  const std::size_t req_words = max_mask_words(feed_);
+  /// Compact senders; disjoint per-shard slices at node_begin offsets.
+  std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
 
-  struct Shard {
+  /// A winner of the current slot, hop counter already bumped.
+  struct Winner {
+    VoqEntry entry;
+    hypergraph::HyperarcId coupler = 0;
+  };
+  /// A winner on its way to the shard that owns its relay node.
+  struct Mail {
+    VoqEntry entry;
+    hypergraph::Node relay = 0;
+  };
+  struct Shard : detail::ShardTally {
     std::int64_t node_begin = 0, node_end = 0;
-    std::int64_t coupler_begin = 0, coupler_end = 0;
-    std::int64_t offered = 0, delivered = 0;
-    std::int64_t transmissions = 0, collisions = 0;
-    std::int64_t inflight_delta = 0;
-    LatencyStats latency;
+    /// Request bits and coupler summary; only the bits of the shard's
+    /// own feed VOQs are ever set.
+    detail::OccupancyMasks masks;
+    std::vector<Winner> sent;  ///< the slot's winners, in coupler order
+    /// Relays from each producer shard (this one included), written by
+    /// the producer before the mail barrier, in coupler order.
+    std::vector<std::vector<Mail>> inbox;
     std::vector<std::int64_t> delivered_ids;  ///< workload ids this slot
     std::vector<std::size_t> winners, scratch;
-    std::vector<std::uint64_t> request;
   };
   std::vector<Shard> shards(static_cast<std::size_t>(threads));
   for (int w = 0; w < threads; ++w) {
-    auto [nb, ne] = partition(nodes_, w, threads);
-    auto [cb, ce] = partition(couplers_, w, threads);
     Shard& shard = shards[static_cast<std::size_t>(w)];
-    shard.node_begin = nb;
-    shard.node_end = ne;
-    shard.coupler_begin = cb;
-    shard.coupler_end = ce;
-    shard.request.assign(req_words, 0);
-    if (resolve_latency_sketch(config_.latency_mode, nodes_)) {
-      shard.latency.use_sketch();
-    }
-    shard.latency.reserve(std::min(
-        load.packet_count() / threads + 1, kLatencyReserveCap));
-    for (std::int64_t qi = voq_base_[static_cast<std::size_t>(nb)];
-         qi < voq_base_[static_cast<std::size_t>(ne)]; ++qi) {
-      voq.set_pool(static_cast<std::size_t>(qi),
-                   static_cast<std::uint32_t>(w));
-    }
+    shard.node_begin = plan.node_cut[static_cast<std::size_t>(w)];
+    shard.node_end = plan.node_cut[static_cast<std::size_t>(w) + 1];
+    shard.masks.init(feed_);
+    shard.inbox.resize(static_cast<std::size_t>(threads));
+    shard.latency.prepare(
+        resolve_latency_sketch(config_.latency_mode, nodes_),
+        background_base / threads + 1);
+    detail::assign_pool(voq, voq_base_, shard.node_begin, shard.node_end, w);
   }
 
-  const std::int64_t background_base = load.packet_count();
-  const SimTime bound = workload_slot_bound(load);
-  const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
-  const Arbitration policy = config_.arbitration;
-
-  // Telemetry: per-shard frames merged in the completion step, exactly
-  // as in the open-loop sharded mode.
+  // Telemetry: per-shard probe frames, folded with order-independent
+  // integer adds in the slot barrier's completion step -- the merged
+  // values are sums over ALL nodes/couplers, so they cannot depend on
+  // the partition (= thread count). Closed-loop runs have no warmup, so
+  // the whole run is one "measure" window.
   obs::Telemetry* const tel = config_.telemetry.get();
-  obs::WindowSpans windows;
+  obs::WindowSpans windows(tel, 0, bound + 1);
   SimTime tel_last = 0;
-  std::vector<obs::ProbeRegistry> frames;
-  if (tel != nullptr) {
-    if (tel->trace_sink() != nullptr) {
-      windows = obs::WindowSpans(tel->trace_sink(), tel->tid(), 0, bound + 1);
-    }
-    frames.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      frames.push_back(tel->probes().clone_schema());
-    }
-  }
+  std::vector<obs::ProbeRegistry> frames = detail::probe_frames(tel, threads);
 
-  // Runtime channel: as in the open-loop sharded mode.
-  obs::RuntimeStats* const rts = config_.runtime_stats.get();
-  const bool rt_on = rts != nullptr && rts->active();
-  std::vector<obs::ShardRuntime> rt_shards(
-      rt_on ? static_cast<std::size_t>(threads) : 0);
+  // Runtime channel (obs/runtime_stats.hpp): wall-clock barrier/work
+  // and mailbox accounting, one private row per shard. Serial phased
+  // runs report no shards, as in open-loop mode.
+  detail::ShardRuntimes runtime(
+      sharded ? config_.runtime_stats.get() : nullptr, threads);
 
   // Slot state shared across workers; mutated only in the slot
   // barrier's completion step (every worker is blocked then). `inject`
@@ -1142,12 +820,8 @@ RunMetrics PhasedEngineT<Routes>::run_workload_sharded(
     if (tel != nullptr) {
       windows.at_slot(now);
       if (tel->due(now)) {
-        obs::ProbeRegistry& reg = tel->probes();
-        reg.zero();
-        for (const obs::ProbeRegistry& frame : frames) {
-          reg.accumulate(frame);
-        }
-        reg.set(tel->engine_probes().backlog, inflight);
+        // Backlog is global state only the completion step knows.
+        detail::merge_frames(*tel, frames, inflight);
         tel->sample(now);
       }
       tel_last = now;
@@ -1166,32 +840,34 @@ RunMetrics PhasedEngineT<Routes>::run_workload_sharded(
       load.poll(now, inject);
     }
   };
-  std::barrier<> phase_barrier(threads);
+  std::barrier<> mail_barrier(threads);
   std::barrier<decltype(on_slot_end)> slot_barrier(threads, on_slot_end);
 
-  const auto worker = [&](int w) {
+  // queue_capacity is 0 in workload mode (validated), so enqueue never
+  // drops. Only the shard owning `at` calls it, and `at`'s VOQs feed
+  // only that shard's couplers, so the masks it marks are its own.
+  const auto enqueue = [&](Shard& shard, const VoqEntry& entry,
+                           hypergraph::Node at) {
+    const std::int32_t slot = routes_.next_slot(at, entry.destination);
+    const std::size_t qi = static_cast<std::size_t>(
+        voq_base_[static_cast<std::size_t>(at)] + slot);
+    if (voq.empty(qi)) {
+      shard.masks.mark_nonempty(feed_, qi);
+    }
+    voq.push(qi, entry);
+  };
+
+  const auto worker = [&](int w, obs::ShardRuntime* rt) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
-    obs::ShardRuntime* const rt =
-        rt_on ? &rt_shards[static_cast<std::size_t>(w)] : nullptr;
-    const auto timed_wait = [&](auto& barrier) {
-      if (rt == nullptr) {
-        barrier.arrive_and_wait();
-        return;
-      }
-      const std::int64_t t0 = obs::runtime_now_ns();
-      barrier.arrive_and_wait();
-      rt->barrier_wait_ns += obs::runtime_now_ns() - t0;
-    };
-    const std::int64_t loop_start = rt_on ? obs::runtime_now_ns() : 0;
-    const auto enqueue = [&](const VoqEntry& entry, hypergraph::Node at) {
-      const std::int32_t slot = routes_.next_slot(at, entry.destination);
-      voq.push(static_cast<std::size_t>(
-                   voq_base_[static_cast<std::size_t>(at)] + slot),
-               entry);
-    };
+    detail::OccupancyMasks& masks = shard.masks;
 
     while (true) {
-      // Phase 1a: the shard's slice of the eligible injections.
+      // Slot state is read once per slot: the completion step changes
+      // it only while every worker is blocked.
+      const SimTime slot = now;
+      const bool background = !load_done;
+      // Phase 1a: the shard's slice of the eligible injections, in the
+      // workload's (id-sorted) order.
       for (const workload::WorkloadPacket& packet : inject) {
         if (packet.source < shard.node_begin ||
             packet.source >= shard.node_end) {
@@ -1199,12 +875,12 @@ RunMetrics PhasedEngineT<Routes>::run_workload_sharded(
         }
         ++shard.offered;
         ++shard.inflight_delta;
-        enqueue(VoqEntry{packet.id, packet.destination, now, 0},
+        enqueue(shard, VoqEntry{packet.id, packet.destination, slot, 0},
                 packet.source);
       }
-      // Phase 1b: background traffic over the shard's nodes (compact
-      // batch into the shard's slice of `senders`).
-      if (!load_done) {
+      // Phase 1b: open-loop background traffic over the shard's nodes
+      // until the workload is complete (load 0 generators never fire).
+      if (background) {
         const std::size_t sender_count =
             traffic_.demand_batch_senders_streams(
                 shard.node_begin, shard.node_end, gen_rng.data(),
@@ -1215,157 +891,142 @@ RunMetrics PhasedEngineT<Routes>::run_workload_sharded(
           const SenderDemand d =
               senders[static_cast<std::size_t>(shard.node_begin) + i];
           if (config_.recorder != nullptr) {
-            config_.recorder->record(now, d.source, d.destination);
+            config_.recorder->record(slot, d.source, d.destination);
           }
-          enqueue(VoqEntry{background_base + now * nodes_ + d.source,
-                           d.destination, now, 0},
+          enqueue(shard,
+                  VoqEntry{background_base + slot * nodes_ + d.source,
+                           d.destination, slot, 0},
                   d.source);
         }
       }
-      timed_wait(phase_barrier);
 
-      // Phase 2: arbitration over the shard's couplers (local request
-      // rebuild, as in the open-loop sharded mode).
-      for (hypergraph::HyperarcId h = shard.coupler_begin;
-           h < shard.coupler_end; ++h) {
-        auto& out = deliveries[static_cast<std::size_t>(h)];
-        out.clear();
-        const std::size_t fb = static_cast<std::size_t>(
-            feed_.feed_base[static_cast<std::size_t>(h)]);
-        const std::size_t source_count =
-            static_cast<std::size_t>(
-                feed_.feed_base[static_cast<std::size_t>(h) + 1]) -
-            fb;
-        const std::size_t words = (source_count + 63) / 64;
-        std::uint64_t any = 0;
-        for (std::size_t wi = 0; wi < words; ++wi) {
-          shard.request[wi] = 0;
-        }
-        for (std::size_t si = 0; si < source_count; ++si) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-          if (!voq.empty(qi)) {
-            shard.request[si >> 6] |= std::uint64_t{1} << (si & 63);
+      // Phase 2: arbitration over the shard's couplers with any
+      // non-empty feed, found by scanning its summary bitmap. Every VOQ
+      // read here was pushed by this shard, so phase 1 needs no barrier.
+      for (std::size_t aw = 0; aw < masks.active.size(); ++aw) {
+        std::uint64_t aword = masks.active[aw];
+        while (aword != 0) {
+          const std::size_t h =
+              (aw << 6) + static_cast<std::size_t>(std::countr_zero(aword));
+          aword &= aword - 1;
+          const std::size_t fb = static_cast<std::size_t>(feed_.feed_base[h]);
+          const std::size_t source_count =
+              static_cast<std::size_t>(feed_.feed_base[h + 1]) - fb;
+          const std::size_t mb = static_cast<std::size_t>(feed_.mask_base[h]);
+          const std::size_t words =
+              static_cast<std::size_t>(feed_.mask_base[h + 1]) - mb;
+          const bool collided = detail::pick_winners(
+              policy, capacity, source_count, masks.request.data() + mb,
+              words, token_[h], arb_rng[h], shard.winners, shard.scratch);
+          if (collided) {
+            ++shard.collisions;
+          }
+          for (std::size_t si : shard.winners) {
+            const std::size_t qi =
+                static_cast<std::size_t>(feed_.feed_qi[fb + si]);
+            VoqEntry entry = voq.pop_front(qi);
+            if (voq.empty(qi)) {
+              masks.mark_empty(feed_, qi);
+            }
+            ++entry.hops;
+            ++shard.transmissions;
+            ++coupler_success[h];
+            shard.sent.push_back(
+                Winner{entry, static_cast<hypergraph::HyperarcId>(h)});
           }
         }
-        for (std::size_t wi = 0; wi < words; ++wi) {
-          any |= shard.request[wi];
+      }
+
+      // Routing: each winner's relay is looked up once, prefetched a few
+      // entries ahead (consecutive winners' table rows share no cache
+      // line). Final deliveries complete here and feed back at the slot
+      // end; relays go to the inbox of the shard owning the relay node.
+      for (std::size_t i = 0; i < shard.sent.size(); ++i) {
+        if (i + kRelayPrefetchAhead < shard.sent.size()) {
+          const Winner& ahead = shard.sent[i + kRelayPrefetchAhead];
+          routes_.prefetch_relay(ahead.coupler, ahead.entry.destination);
         }
-        if (any == 0) {
+        const Winner& win = shard.sent[i];
+        const hypergraph::Node relay =
+            routes_.relay(win.coupler, win.entry.destination);
+        if (relay == win.entry.destination) {
+          ++shard.delivered;
+          shard.latency.record(slot - win.entry.created + 1);
+          if (win.entry.id < background_base) {
+            shard.delivered_ids.push_back(win.entry.id);
+          }
+          --shard.inflight_delta;
           continue;
         }
-        const bool collided = detail::pick_winners(
-            policy, capacity, source_count, shard.request.data(), words,
-            token_[static_cast<std::size_t>(h)],
-            arb_rng[static_cast<std::size_t>(h)], shard.winners,
-            shard.scratch);
-        if (collided) {
-          ++shard.collisions;
+        if (threads == 1) {
+          // Nothing to mail: this is the one-shard receive order already.
+          enqueue(shard, win.entry, relay);
+          continue;
         }
-        for (std::size_t si : shard.winners) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-          VoqEntry entry = voq.pop_front(qi);
-          ++entry.hops;
-          ++shard.transmissions;
-          ++coupler_success[static_cast<std::size_t>(h)];
-          out.push_back(entry);
+        const std::int32_t owner =
+            plan.node_owner[static_cast<std::size_t>(relay)];
+        shards[static_cast<std::size_t>(owner)]
+            .inbox[static_cast<std::size_t>(w)]
+            .push_back(Mail{win.entry, relay});
+        if (rt != nullptr && owner != w) {
+          ++rt->mailbox_msgs_sent;
+          rt->mailbox_bytes_sent += static_cast<std::int64_t>(sizeof(Mail));
         }
       }
-      timed_wait(phase_barrier);
+      shard.sent.clear();
+      detail::timed_wait(mail_barrier, rt);
 
-      // Phase 3: consume the deliveries whose relay this shard owns.
-      for (hypergraph::HyperarcId h = 0; h < couplers_; ++h) {
-        const auto& list = deliveries[static_cast<std::size_t>(h)];
-        for (std::size_t di = 0; di < list.size(); ++di) {
-          if (di + kRelayPrefetchAhead < list.size()) {
-            routes_.prefetch_relay(
-                h, list[di + kRelayPrefetchAhead].destination);
-          }
-          const VoqEntry& entry = list[di];
-          const hypergraph::Node relay = routes_.relay(h, entry.destination);
-          if (relay < shard.node_begin || relay >= shard.node_end) {
-            continue;
-          }
-          if (relay == entry.destination) {
-            ++shard.delivered;
-            shard.latency.record(now - entry.created + 1);
-            if (entry.id < background_base) {
-              shard.delivered_ids.push_back(entry.id);
-            }
-            --shard.inflight_delta;
-          } else {
-            enqueue(entry, relay);
-          }
+      // Phase 3: relayed packets re-queue at their next hop. Producer
+      // order is coupler order (see ShardPlan), so every VOQ gets its
+      // pushes in the one-shard (coupler, winner) order, whatever the
+      // partition.
+      for (int p = 0; p < threads; ++p) {
+        std::vector<Mail>& box = shard.inbox[static_cast<std::size_t>(p)];
+        for (const Mail& mail : box) {
+          enqueue(shard, mail.entry, mail.relay);
         }
+        if (rt != nullptr && p != w) {
+          rt->mailbox_msgs_replayed += static_cast<std::int64_t>(box.size());
+        }
+        box.clear();
       }
-      if (tel != nullptr && tel->due(now)) {
-        // Sampling boundary: extra barrier for phase-3 visibility, then
-        // snapshot this shard's counters and coupler range (see the
-        // open-loop sharded mode).
-        timed_wait(phase_barrier);
+
+      if (tel != nullptr && tel->due(slot)) {
+        // Feed-locality makes the snapshot shard-private: the shard's
+        // couplers are fed only by VOQs it pushed and popped itself.
         obs::ProbeRegistry& frame = frames[static_cast<std::size_t>(w)];
         const obs::EngineProbes& ids = tel->engine_probes();
-        frame.zero();
-        frame.set(ids.offered, shard.offered);
-        frame.set(ids.delivered, shard.delivered);
-        frame.set(ids.transmissions, shard.transmissions);
-        frame.set(ids.collisions, shard.collisions);
-        detail::observe_occupancy(frame, ids.occupancy, feed_, voq,
-                                  shard.coupler_begin, shard.coupler_end);
+        shard.snapshot(frame, ids);
+        for (const hypergraph::HyperarcId h :
+             plan.couplers[static_cast<std::size_t>(w)]) {
+          detail::observe_occupancy(frame, ids.occupancy, feed_, voq, h,
+                                    h + 1);
+        }
       }
       if (rt != nullptr) {
+        // Slot engines have a fixed one-slot "window".
         ++rt->windows;
         ++rt->lookahead_used;
         ++rt->lookahead_available;
       }
-      timed_wait(slot_barrier);
+      detail::timed_wait(slot_barrier, rt);
       if (!running) {
         break;
       }
     }
-    if (rt != nullptr) {
-      rt->work_ns +=
-          obs::runtime_now_ns() - loop_start - rt->barrier_wait_ns;
-    }
   };
-
-  const std::int64_t run_start = rt_on ? obs::runtime_now_ns() : 0;
-  if (threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      pool.emplace_back(worker, w);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
-  if (rt_on) {
-    rts->record_shards("phased_sharded", "workload",
-                       obs::runtime_now_ns() - run_start, rt_shards);
-  }
+  runtime.run(threads, "phased_sharded", "workload", worker);
 
   RunMetrics metrics;
   metrics.slots = now + 1;
   metrics.makespan_slots = makespan;
-  for (Shard& shard : shards) {
-    metrics.offered_packets += shard.offered;
-    metrics.delivered_packets += shard.delivered;
-    metrics.coupler_transmissions += shard.transmissions;
-    metrics.collisions += shard.collisions;
-    metrics.latency.merge(shard.latency);
+  for (const Shard& shard : shards) {
+    shard.fold_into(metrics);
   }
   metrics.backlog = inflight;
   if (tel != nullptr) {
     windows.finish();
-    detail::fill_metric_probes(*tel, metrics, inflight);
-    obs::ProbeRegistry& reg = tel->probes();
-    const obs::ProbeId hist = tel->engine_probes().occupancy;
-    reg.clear_histogram(hist);
-    detail::observe_occupancy(reg, hist, feed_, voq, 0, couplers_);
+    detail::fill_metric_probes(*tel, metrics, inflight, feed_, voq);
     tel->finish(tel_last);
   }
   return metrics;

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -441,6 +442,33 @@ TEST(CampaignGrid, TopologySpecProcessorCountMatchesNetworks) {
   EXPECT_EQ(TopologySpec::stack_kautz(10, 10, 3).processor_count(), 11000);
   EXPECT_EQ(TopologySpec::pops(6, 12).processor_count(), 72);
   EXPECT_EQ(TopologySpec::stack_imase_itoh(4, 2, 12).processor_count(), 48);
+}
+
+TEST(CampaignGrid, CellWeightsSaturateInsteadOfOverflowing) {
+  CampaignSpec spec;
+  spec.topologies = {TopologySpec::stack_kautz(4, 3, 2),
+                     TopologySpec::stack_kautz(100000, 100, 3)};
+  spec.seeds = {1};
+  spec.route_tables = {sim::RouteTable::kDense, sim::RouteTable::kCompressed};
+  spec.warmup_slots = 100;
+  spec.measure_slots = 1000;
+  const std::vector<campaign::CampaignCell> cells =
+      campaign::expand_grid(spec);
+  ASSERT_EQ(cells.size(), 4u);
+  // nodes x slots plus half (two cells per topology) of the compile:
+  // N^2 router evaluations dense, G^2 compressed (G = N / s groups).
+  EXPECT_EQ(campaign::cell_weight(spec, cells[0], 2), 48 * 1100 + 48 * 48 / 2);
+  EXPECT_EQ(campaign::cell_weight(spec, cells[1], 2), 48 * 1100 + 12 * 12 / 2);
+  // Dense SK(100000,100,3) is a valid spec with ~1.01e11 nodes, whose
+  // N^2 compile cost overflowed int64 (signed overflow, UB).
+  const std::int64_t nodes = 100000LL * 100 * 100 * 101;
+  ASSERT_EQ(spec.topologies[1].processor_count(), nodes);
+  EXPECT_EQ(campaign::cell_weight(spec, cells[2], 2),
+            std::numeric_limits<std::int64_t>::max());
+  // Compressed, every term fits and the weight stays exact.
+  const std::int64_t groups = nodes / 100000;
+  EXPECT_EQ(campaign::cell_weight(spec, cells[3], 2),
+            nodes * 1100 + groups * groups / 2);
 }
 
 TEST(CampaignGrid, OverridesResolveExecutionKnobs) {

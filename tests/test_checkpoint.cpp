@@ -14,6 +14,8 @@
 //    byte for byte, and final probe values match;
 //  - a blob whose fingerprint does not match the resuming run (seed or
 //    engine changed) is silently ignored -- the run starts fresh;
+//  - a damaged blob (one flipped byte) or a truncated one fails its
+//    checksum trailer and is ignored the same way, never restored;
 //  - the event-queue engine and path-less checkpoint configs are
 //    rejected at construction.
 
@@ -392,6 +394,61 @@ TEST(Checkpoint, MismatchedFingerprintStartsFresh) {
   const RunResult cross = run_sk(sim::Engine::kSharded, 2, cross_engine);
   const RunResult cross_plain = run_sk(sim::Engine::kSharded, 2, {});
   expect_identical(cross_plain.metrics, cross.metrics);
+}
+
+/// Writes a drill blob for `engine`, lets `damage` rewrite its bytes,
+/// and checks that resuming from it equals a fresh run: the checksum
+/// trailer must reject the blob before any of it is restored.
+template <class Damage>
+void expect_damaged_blob_runs_fresh(sim::Engine engine, int threads,
+                                    const std::string& tag,
+                                    const Damage& damage) {
+  SCOPED_TRACE(sim::engine_name(engine));
+  ScratchDir scratch(tag);
+  const std::filesystem::path blob = scratch.path() / (tag + ".ckpt");
+  RunOptions drill;
+  drill.every = kEvery;
+  drill.path = blob.string();
+  drill.stop_at = kStopAt;
+  run_sk(engine, threads, drill);
+  std::string bytes = read_bytes(blob);
+  ASSERT_GT(bytes.size(), 64u);
+  damage(bytes);
+  std::ofstream(blob, std::ios::binary | std::ios::trunc) << bytes;
+
+  RunOptions resume;
+  resume.every = kEvery;
+  resume.path = blob.string();
+  resume.resume = true;
+  const RunResult resumed = run_sk(engine, threads, resume);
+  const RunResult plain = run_sk(engine, threads, {});
+  expect_identical(plain.metrics, resumed.metrics);
+  EXPECT_EQ(plain.coupler_success, resumed.coupler_success);
+}
+
+TEST(Checkpoint, FlippedByteBlobStartsFresh) {
+  // One flipped bit mid-payload once resumed to a mean latency of -6e12.
+  for (const auto& [engine, threads] :
+       {std::pair{sim::Engine::kPhased, 1},
+        std::pair{sim::Engine::kSharded, 2},
+        std::pair{sim::Engine::kAsyncSharded, 2}}) {
+    expect_damaged_blob_runs_fresh(engine, threads, "flip",
+                                   [](std::string& bytes) {
+                                     bytes[bytes.size() / 2] ^= 0x40;
+                                   });
+  }
+}
+
+TEST(Checkpoint, TruncatedBlobStartsFresh) {
+  // A truncated blob once threw out of the payload reader and killed the
+  // whole campaign.
+  for (const auto& [engine, threads] : {std::pair{sim::Engine::kPhased, 1},
+                                        std::pair{sim::Engine::kAsync, 1}}) {
+    expect_damaged_blob_runs_fresh(engine, threads, "truncate",
+                                   [](std::string& bytes) {
+                                     bytes.resize(bytes.size() * 2 / 3);
+                                   });
+  }
 }
 
 TEST(Checkpoint, ResumeWithoutBlobRunsFresh) {

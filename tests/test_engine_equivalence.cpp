@@ -5,7 +5,10 @@
 //  - the sharded engine is bit-identical for every thread count;
 //  - CompiledRoutes agrees with the hooks it was baked from;
 //  - packet conservation holds exactly under every (engine, policy);
-//  - SimConfig is validated at construction.
+//  - SimConfig is validated at construction;
+//  - the feed-local shard plan keeps every coupler with its feed nodes,
+//    lists couplers in shard order == id order (the phased closed-loop
+//    receive depends on it) and rejects a numbering that breaks that.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +24,7 @@
 #include "routing/stack_routing.hpp"
 #include "sim/metrics.hpp"
 #include "sim/ops_network.hpp"
+#include "sim/sharding.hpp"
 #include "sim/traffic.hpp"
 
 namespace otis::sim {
@@ -418,6 +422,57 @@ TEST(SimConfigValidation, RejectsDegenerateParameters) {
   SimConfig bad_capacity;
   bad_capacity.queue_capacity = -1;
   EXPECT_THROW(make(bad_capacity), core::Error);
+}
+
+/// FeedIndex over `hg` with the engines' VOQ layout (one VOQ per
+/// out-coupler of each node).
+detail::FeedIndex feeds_of(const hypergraph::DirectedHypergraph& hg,
+                           std::vector<std::int64_t>& voq_base) {
+  voq_base.assign(static_cast<std::size_t>(hg.node_count()) + 1, 0);
+  for (hypergraph::Node v = 0; v < hg.node_count(); ++v) {
+    voq_base[static_cast<std::size_t>(v) + 1] =
+        voq_base[static_cast<std::size_t>(v)] + hg.out_degree(v);
+  }
+  detail::FeedIndex feed;
+  feed.build(hg, voq_base);
+  return feed;
+}
+
+TEST(ShardPlan, FeedLocalBlocksInCouplerOrder) {
+  hypergraph::StackKautz sk(4, 3, 2);
+  const hypergraph::DirectedHypergraph& hg = sk.stack().hypergraph();
+  std::vector<std::int64_t> voq_base;
+  const detail::FeedIndex feed = feeds_of(hg, voq_base);
+  for (const int threads : {1, 2, 3, 5, 8, 13}) {
+    SCOPED_TRACE(threads);
+    const detail::ShardPlan plan =
+        detail::plan_shards(threads, voq_base, feed);
+    hypergraph::HyperarcId next = 0;
+    for (int w = 0; w < threads; ++w) {
+      for (const hypergraph::HyperarcId h :
+           plan.couplers[static_cast<std::size_t>(w)]) {
+        // Shard order is coupler order, and every feed node lives in
+        // its coupler's shard.
+        EXPECT_EQ(h, next++);
+        for (const hypergraph::Node v : hg.hyperarc(h).sources) {
+          EXPECT_EQ(plan.node_owner[static_cast<std::size_t>(v)], w);
+        }
+      }
+    }
+    EXPECT_EQ(next, hg.hyperarc_count());
+  }
+}
+
+TEST(ShardPlan, RejectsCouplersNumberedAgainstTheirFeeds) {
+  // Coupler 0 is fed by nodes {2, 3} and coupler 1 by {0, 1}: cut in
+  // two, shard order would no longer be coupler order.
+  const hypergraph::DirectedHypergraph hg(
+      4, {hypergraph::Hyperarc{{2, 3}, {0, 1}},
+          hypergraph::Hyperarc{{0, 1}, {2, 3}}});
+  std::vector<std::int64_t> voq_base;
+  const detail::FeedIndex feed = feeds_of(hg, voq_base);
+  EXPECT_NO_THROW((void)detail::plan_shards(1, voq_base, feed));
+  EXPECT_THROW((void)detail::plan_shards(2, voq_base, feed), core::Error);
 }
 
 }  // namespace

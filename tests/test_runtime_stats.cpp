@@ -7,8 +7,9 @@
 //  - a default-config session is inert: active() false, zero rows;
 //  - shard rows are internally consistent: phased-sharded windows equal
 //    the slot horizon, lookahead_used <= lookahead_available, and the
-//    async-sharded mailbox conservation law (total sends == total
-//    replays) holds in open-loop and workload modes;
+//    mailbox conservation law (total sends == total replays) holds for
+//    async-sharded in open-loop and workload modes and for phased-sharded
+//    in workload mode, where cross-shard relays really do use mail;
 //  - the cell_summary stall attribution is a valid distribution
 //    (stall_share in [0,1], blame normalized);
 //  - WorkStealingPool worker counters add up: items sum to the batch
@@ -372,6 +373,9 @@ TEST(RuntimeStats, WorkloadModeKeepsMetricsAndMailboxInvariants) {
       sent += shard.at("mailbox_msgs_sent").as_int();
       replayed += shard.at("mailbox_msgs_replayed").as_int();
     }
+    // Both engines hand relays that cross a shard cut to the relay
+    // owner's mailbox, so three shards must exchange some.
+    EXPECT_GT(sent, 0);
     EXPECT_EQ(sent, replayed);
   }
 }

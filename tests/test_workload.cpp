@@ -9,7 +9,9 @@
 //  - cross-engine bit-parity: workload-driven runs are bit-identical
 //    across phased/sharded/async engines, dense/compressed route tables
 //    and thread counts {1, 2, 3, 5, 8}, for every arbitration policy,
-//    with and without background traffic;
+//    with and without background traffic, for gossip and BSP on SK(4,3,2)
+//    and gossip on POPS(4,2) (one legal feed-local cut, so most shards
+//    are empty);
 //  - synthetic kernels (bsp, reduce tree, gather incast) run to
 //    completion with sane makespans;
 //  - traces: recorder canonical form, binary/JSONL round-trips, replay
@@ -21,6 +23,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -305,26 +308,25 @@ TEST(ScheduleWorkloadTest, ContentionOnlyRaisesTheMakespan) {
 
 // ------------------------------------------------ cross-engine parity
 
-TEST(WorkloadParityTest, BitIdenticalAcrossEnginesTablesAndThreads) {
-  hypergraph::StackKautz sk(4, 3, 2);
-  const Net net = make_net(sk);
-  const auto gossip = [&] {
-    return std::shared_ptr<Workload>(
-        schedule_workload(sk.stack(), collectives::stack_kautz_gossip(sk)));
-  };
+/// Runs `make_load` beside each background load on every engine, route
+/// table and thread count and checks each run against the serial phased
+/// reference.
+template <class MakeLoad>
+void expect_workload_parity(const Net& net, const MakeLoad& make_load,
+                            std::initializer_list<double> backgrounds) {
   for (sim::Arbitration arbitration : kAllPolicies) {
-    for (double background : {0.0, 0.4}) {
+    for (double background : backgrounds) {
       sim::SimConfig config;
       config.arbitration = arbitration;
       config.seed = 99;
       const WorkloadRun reference =
-          run_workload(net, gossip(), config, background);
+          run_workload(net, make_load(), config, background);
       EXPECT_EQ(reference.metrics.backlog, 0);
       for (const bool compressed : {false, true}) {
         {
           sim::SimConfig async_config = config;
           async_config.engine = sim::Engine::kAsync;
-          const WorkloadRun run = run_workload(net, gossip(), async_config,
+          const WorkloadRun run = run_workload(net, make_load(), async_config,
                                                background, compressed);
           expect_identical(reference.metrics, run.metrics);
           EXPECT_EQ(reference.coupler_success, run.coupler_success);
@@ -333,13 +335,13 @@ TEST(WorkloadParityTest, BitIdenticalAcrossEnginesTablesAndThreads) {
           sim::SimConfig sharded = config;
           sharded.engine = sim::Engine::kSharded;
           sharded.threads = threads;
-          const WorkloadRun run = run_workload(net, gossip(), sharded,
+          const WorkloadRun run = run_workload(net, make_load(), sharded,
                                                background, compressed);
           expect_identical(reference.metrics, run.metrics);
           EXPECT_EQ(reference.coupler_success, run.coupler_success);
         }
         if (compressed) {
-          const WorkloadRun run = run_workload(net, gossip(), config,
+          const WorkloadRun run = run_workload(net, make_load(), config,
                                                background,
                                                /*compressed=*/true);
           expect_identical(reference.metrics, run.metrics);
@@ -348,6 +350,39 @@ TEST(WorkloadParityTest, BitIdenticalAcrossEnginesTablesAndThreads) {
       }
     }
   }
+}
+
+TEST(WorkloadParityTest, BitIdenticalAcrossEnginesTablesAndThreads) {
+  hypergraph::StackKautz sk(4, 3, 2);
+  expect_workload_parity(
+      make_net(sk),
+      [&] {
+        return std::shared_ptr<Workload>(schedule_workload(
+            sk.stack(), collectives::stack_kautz_gossip(sk)));
+      },
+      {0.0, 0.4});
+  // BSP beside background traffic puts relays from couplers of several
+  // shards into one VOQ in the same slot: a receive that pushed them in
+  // any order but coupler order diverges here.
+  expect_workload_parity(
+      make_net(sk),
+      [&] {
+        return std::shared_ptr<Workload>(
+            bsp_exchange(sk.processor_count(), 4, 1));
+      },
+      {0.2});
+  // POPS(4,2): every coupler is fed by a whole group, so the 8 nodes
+  // have only one legal feed-local cut. At 5 and 8 threads most shards
+  // are empty, yet they join every barrier and the run must still end
+  // bit-identical.
+  hypergraph::Pops pops(4, 2);
+  expect_workload_parity(
+      make_net(pops),
+      [&] {
+        return std::shared_ptr<Workload>(
+            schedule_workload(pops.stack(), collectives::pops_gossip(pops)));
+      },
+      {0.0, 0.4});
 }
 
 // --------------------------------------------------- synthetic kernels
