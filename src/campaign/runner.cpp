@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -432,14 +433,19 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
               std::memory_order_relaxed);
           if (options.progress) {
             // The stall-attribution line: which shard the others waited
-            // for, and how much of the total barrier wait it explains.
+            // for, and how much of the total barrier wait it explains
+            // (no shard is named when none caused a material share).
+            const std::string culprit =
+                stall.blamed_shard >= 0
+                    ? "shard " + std::to_string(stall.blamed_shard) +
+                          " caused"
+                    : std::string("no straggler, imbalance");
             std::fprintf(
                 stderr,
-                "[campaign] cell %s  %lld shards  stall %.1f%%  shard %lld "
-                "caused %.0f%% of barrier wait\n",
+                "[campaign] cell %s  %lld shards  stall %.1f%%  %s %.0f%% "
+                "of barrier wait\n",
                 cell.id.c_str(), static_cast<long long>(stall.shards),
-                100.0 * stall.stall_share,
-                static_cast<long long>(stall.blamed_shard),
+                100.0 * stall.stall_share, culprit.c_str(),
                 100.0 * stall.blamed_share);
           }
         }

@@ -155,34 +155,33 @@ RuntimeStats::StallSummary RuntimeStats::stall_summary() const {
     return summary;
   }
   std::int64_t total_time = 0;
-  std::int64_t max_wait = 0;
   for (const ShardRuntime& s : folded_) {
     summary.barrier_wait_ns += s.barrier_wait_ns;
     total_time += s.barrier_wait_ns + s.work_ns;
-    max_wait = std::max(max_wait, s.barrier_wait_ns);
   }
   if (total_time > 0) {
     summary.stall_share = static_cast<double>(summary.barrier_wait_ns) /
                           static_cast<double>(total_time);
   }
-  // The straggler waits least: everyone else's wait is (mostly) time
-  // spent waiting for it. Blame each shard by its deficit against the
-  // longest waiter and normalize.
-  std::int64_t blame_total = 0;
-  std::int64_t blame_max = 0;
-  std::size_t blame_arg = 0;
-  for (std::size_t i = 0; i < folded_.size(); ++i) {
-    const std::int64_t blame = max_wait - folded_[i].barrier_wait_ns;
-    blame_total += blame;
-    if (blame > blame_max) {
-      blame_max = blame;
-      blame_arg = i;
+  // The straggler waits least: everyone else's wait beyond its own is
+  // time spent waiting for it. That excess, summed over the shards, is
+  // the share of all barrier wait it caused; the rest is wait every
+  // shard pays alike (barrier cost, serial sections), which no shard is
+  // to blame for.
+  const auto straggler = std::min_element(
+      folded_.begin(), folded_.end(),
+      [](const ShardRuntime& a, const ShardRuntime& b) {
+        return a.barrier_wait_ns < b.barrier_wait_ns;
+      });
+  const std::int64_t caused =
+      summary.barrier_wait_ns -
+      straggler->barrier_wait_ns * static_cast<std::int64_t>(folded_.size());
+  if (summary.barrier_wait_ns > 0) {
+    summary.blamed_share = static_cast<double>(caused) /
+                           static_cast<double>(summary.barrier_wait_ns);
+    if (summary.blamed_share >= kBlameMinShare) {
+      summary.blamed_shard = straggler - folded_.begin();
     }
-  }
-  if (blame_total > 0) {
-    summary.blamed_shard = static_cast<std::int64_t>(blame_arg);
-    summary.blamed_share = static_cast<double>(blame_max) /
-                           static_cast<double>(blame_total);
   }
   return summary;
 }

@@ -138,17 +138,23 @@ class RuntimeStats {
   void record_workers(std::int64_t wall_ns,
                       const std::vector<WorkerRuntime>& workers);
 
-  /// Stall attribution over everything record_shards() has folded in:
-  /// a shard's blame is its wait deficit against the slowest-waiting
-  /// shard (the straggler waits least -- everyone else waits for it),
-  /// normalized over all shards.
+  /// Smallest share of the total barrier wait a straggler must cause
+  /// before stall_summary() names it; below it the run is balanced and
+  /// its waits are barrier cost every shard pays alike.
+  static constexpr double kBlameMinShare = 0.10;
+
+  /// Stall attribution over everything record_shards() has folded in.
+  /// The straggler is the shard that waits least (everyone else waits
+  /// for it); the wait it caused is every shard's wait in excess of the
+  /// straggler's, as a share of the total barrier wait.
   struct StallSummary {
     std::int64_t shards = 0;            ///< shard rows folded in
     std::int64_t wall_ns = 0;           ///< summed run wall time
     std::int64_t barrier_wait_ns = 0;   ///< summed across shards
     double stall_share = 0.0;  ///< barrier wait / total shard time
-    std::int64_t blamed_shard = -1;  ///< top straggler (-1: balanced)
-    double blamed_share = 0.0;       ///< its fraction of the blame
+    /// The straggler, or -1 when it caused less than kBlameMinShare.
+    std::int64_t blamed_shard = -1;
+    double blamed_share = 0.0;  ///< wait it caused / barrier_wait_ns
   };
   [[nodiscard]] StallSummary stall_summary() const;
 

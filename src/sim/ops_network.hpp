@@ -25,11 +25,13 @@
 ///    receive) over a structure-of-arrays VOQ arena with per-coupler
 ///    occupancy bitmasks and CompiledRoutes tables. Bit-identical to
 ///    kEventQueue for every seed, several times faster;
-///  - kSharded: the phased loop with couplers and nodes partitioned
-///    across worker threads, phases separated by barriers, and RNG
-///    drawn from per-node / per-coupler streams so the result is
-///    bit-identical for EVERY thread count (though, by design, a
-///    different -- equally valid -- universe than the serial engines);
+///  - kSharded: the phased slot model on the feed-local shard plan
+///    (sharding.hpp): each worker owns a block of nodes together with
+///    every coupler they feed, relays cross to the owning worker
+///    through per-pair mailboxes, and RNG is drawn from per-node /
+///    per-coupler streams, so the result is bit-identical for EVERY
+///    thread count (though, in open loop and by design, a different --
+///    equally valid -- universe than the serial engines);
 ///  - kAsync: the calendar-queue timed-event engine (async_engine.hpp)
 ///    honouring SimConfig::timing -- transmitter tuning latencies,
 ///    per-coupler propagation skew, slot guard bands in sub-slot ticks.

@@ -5,7 +5,6 @@
 #include <bit>
 #include <chrono>
 #include <exception>
-#include <utility>
 
 #include "core/error.hpp"
 #include "sim/arbitration.hpp"
@@ -24,18 +23,9 @@ using detail::coupler_streams;
 using detail::node_streams;
 using detail::workload_slot_bound;
 
-/// Ceiling-free contiguous partition of [0, count) into `parts` ranges.
-std::pair<std::int64_t, std::int64_t> partition(std::int64_t count, int part,
-                                                int parts) {
-  const std::int64_t lo = count * part / parts;
-  const std::int64_t hi = count * (part + 1) / parts;
-  return {lo, hi};
-}
-
-/// How far ahead the delivery walks prefetch relay entries.
-/// Deliveries for one coupler land on scattered relay-table rows, so a
-/// short look-ahead hides the load latency without thrashing the
-/// prefetch queue.
+/// How far ahead the routing walk prefetches relay entries. Consecutive
+/// winners land on scattered relay-table rows, so a short look-ahead
+/// hides the load latency without thrashing the prefetch queue.
 constexpr std::size_t kRelayPrefetchAhead = 8;
 
 }  // namespace
@@ -66,11 +56,8 @@ template <routing::RouteView Routes>
 RunMetrics PhasedEngineT<Routes>::run(
     std::vector<std::int64_t>& coupler_success) {
   coupler_success.assign(static_cast<std::size_t>(couplers_), 0);
-  if (config_.workload != nullptr) {
-    return run_workload(coupler_success);
-  }
-  if (config_.engine == Engine::kSharded) {
-    return run_sharded(coupler_success);
+  if (config_.workload != nullptr || config_.engine == Engine::kSharded) {
+    return run_feed_local(coupler_success);
   }
   return run_serial(coupler_success);
 }
@@ -349,376 +336,17 @@ RunMetrics PhasedEngineT<Routes>::run_serial(
 }
 
 template <routing::RouteView Routes>
-RunMetrics PhasedEngineT<Routes>::run_sharded(
+RunMetrics PhasedEngineT<Routes>::run_feed_local(
     std::vector<std::int64_t>& coupler_success) {
-  const int threads =
-      detail::clamp_threads(config_.threads, nodes_, couplers_);
-
-  // Per-unit RNG streams: the partition can never influence the draw.
-  std::vector<core::Rng> gen_rng = node_streams(config_.seed, nodes_);
-  std::vector<core::Rng> arb_rng = coupler_streams(config_.seed, couplers_);
-
-  /// Deliveries of the current slot, per coupler, in winner order; hop
-  /// counter already bumped. Written by the coupler's owner in phase 2,
-  /// read by every worker in phase 3.
-  std::vector<std::vector<VoqEntry>> deliveries(
-      static_cast<std::size_t>(couplers_));
-  /// Compact senders of the current slot; disjoint slices per shard
-  /// (shard w writes at its node_begin offset).
-  std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
-
-  VoqArena voq;
-  voq.init(static_cast<std::size_t>(voq_base_.back()),
-           static_cast<std::size_t>(threads));
-  const std::size_t req_words = detail::max_mask_words(feed_);
-
-  struct Shard : detail::ShardTally {
-    std::int64_t node_begin = 0, node_end = 0;
-    std::int64_t coupler_begin = 0, coupler_end = 0;
-    std::vector<std::size_t> winners, scratch;
-    std::vector<std::uint64_t> request;  ///< local per-coupler rebuild
-  };
-  std::vector<Shard> shards(static_cast<std::size_t>(threads));
-  for (int w = 0; w < threads; ++w) {
-    auto [nb, ne] = partition(nodes_, w, threads);
-    auto [cb, ce] = partition(couplers_, w, threads);
-    Shard& shard = shards[static_cast<std::size_t>(w)];
-    shard.node_begin = nb;
-    shard.node_end = ne;
-    shard.coupler_begin = cb;
-    shard.coupler_end = ce;
-    shard.request.assign(req_words, 0);
-    shard.latency.prepare(
-        resolve_latency_sketch(config_.latency_mode, nodes_),
-        config_.measure_slots * (ne - nb));
-    // Every queue of the shard's nodes pushes from this shard only (its
-    // own phase-1/3 enqueues), so growth stays inside the shard's pool.
-    detail::assign_pool(voq, voq_base_, nb, ne, w);
-  }
-
-  const SimTime horizon = config_.warmup_slots + config_.measure_slots;
-  const SimTime drain_bound = horizon + 1'000'000;
-  const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
-  const std::int64_t queue_cap = config_.queue_capacity;
-  const Arbitration policy = config_.arbitration;
-
-  // Telemetry: per-shard probe frames, folded with order-independent
-  // integer adds in the slot barrier's completion step -- the merged
-  // values are sums over ALL nodes/couplers, so they cannot depend on
-  // the partition (= thread count).
-  obs::Telemetry* const tel = config_.telemetry.get();
-  obs::WindowSpans windows(tel, config_.warmup_slots, horizon);
-  SimTime tel_last = 0;
-  std::vector<obs::ProbeRegistry> frames = detail::probe_frames(tel, threads);
-
-  // Runtime channel (obs/runtime_stats.hpp): wall-clock barrier/work
-  // accounting, one private row per shard.
-  detail::ShardRuntimes runtime(config_.runtime_stats.get(), threads);
-
-  // Slot state shared across workers; mutated only by the slot barrier's
-  // completion step, which runs while every worker is blocked.
-  SimTime now = 0;
-  std::int64_t inflight = 0;
-  bool running = true;
-  bool interrupted = false;  ///< checkpoint_stop_at drill fired
-
-  // Checkpointing. The blob holds the fold of the per-shard counters and
-  // the per-unit RNG streams, never the partition itself, so it is
-  // thread-count independent: a run checkpointed with 2 workers resumes
-  // bit-identically with 8 (the engine's usual invariance). Saves happen
-  // in the completion step -- every worker is blocked, so the shared
-  // state is quiescent.
-  const std::int64_t ckpt_every = config_.checkpoint_every_slots;
-  SimTime start_slot = 0;
-  std::exception_ptr ckpt_error;  ///< completion step is noexcept
-  const auto save_checkpoint = [&](SimTime next_slot) {
-    core::BlobWriter out;
-    checkpoint_write_header(out, config_, nodes_, couplers_);
-    out.put_i64(next_slot);
-    out.put_i64(inflight);
-    for (const core::Rng& r : gen_rng) {
-      out.put_rng(r);
-    }
-    for (const core::Rng& r : arb_rng) {
-      out.put_rng(r);
-    }
-    out.put_i64_vec(token_);
-    RunMetrics fold;
-    for (const Shard& shard : shards) {
-      shard.fold_into(fold);
-    }
-    out.put_i64(fold.offered_packets);
-    out.put_i64(fold.delivered_packets);
-    out.put_i64(fold.dropped_packets);
-    out.put_i64(fold.coupler_transmissions);
-    out.put_i64(fold.collisions);
-    fold.latency.serialize(out);
-    out.put_i64_vec(coupler_success);
-    checkpoint_put_voq(out, voq);
-    std::vector<std::int64_t> traffic_state;
-    traffic_.checkpoint_state(traffic_state);
-    out.put_i64_vec(traffic_state);
-    checkpoint_put_telemetry(out, tel, tel_last);
-    checkpoint_store(config_.checkpoint_path, out);
-  };
-  if (config_.checkpoint_resume) {
-    std::vector<std::uint8_t> blob;
-    if (checkpoint_load(config_.checkpoint_path, config_, nodes_, couplers_,
-                        blob)) {
-      core::BlobReader in(blob);
-      (void)checkpoint_read_header(in, config_, nodes_, couplers_);
-      start_slot = in.get_i64();
-      now = start_slot;
-      inflight = in.get_i64();
-      for (core::Rng& r : gen_rng) {
-        r = in.get_rng();
-      }
-      for (core::Rng& r : arb_rng) {
-        r = in.get_rng();
-      }
-      token_ = in.get_i64_vec();
-      // The folded counters land in shard 0; the final fold is an
-      // order-independent sum/merge, so the split is irrelevant.
-      Shard& s0 = shards[0];
-      s0.offered = in.get_i64();
-      s0.delivered = in.get_i64();
-      s0.dropped = in.get_i64();
-      s0.transmissions = in.get_i64();
-      s0.collisions = in.get_i64();
-      s0.latency.deserialize(in);
-      coupler_success = in.get_i64_vec();
-      checkpoint_get_voq(in, voq);
-      traffic_.restore_state(in.get_i64_vec());
-      tel_last = checkpoint_get_telemetry(in, tel);
-    }
-  }
-
-  const auto on_slot_end = [&]() noexcept {
-    for (Shard& shard : shards) {
-      inflight += shard.inflight_delta;
-      shard.inflight_delta = 0;
-    }
-    if (tel != nullptr) {
-      windows.at_slot(now);
-      if (tel->due(now)) {
-        // Backlog is global state only the completion step knows.
-        detail::merge_frames(*tel, frames, inflight);
-        tel->sample(now);
-      }
-      tel_last = now;
-    }
-    const bool more_traffic = now + 1 < horizon;
-    const bool keep_draining = config_.drain && inflight > 0;
-    if (!(more_traffic || keep_draining)) {
-      running = false;
-      return;
-    }
-    ++now;
-    if (now > drain_bound) {
-      running = false;
-      return;
-    }
-    // The run is definitely continuing into slot `now`: boundary save
-    // (same "blob = state at the top of a slot that will execute"
-    // contract as the serial loop).
-    if (ckpt_every > 0 && now % ckpt_every == 0) {
-      try {
-        save_checkpoint(now);
-        if (config_.checkpoint_stop_at >= 0 &&
-            now >= config_.checkpoint_stop_at) {
-          interrupted = true;
-          running = false;
-        }
-      } catch (...) {
-        ckpt_error = std::current_exception();
-        running = false;
-      }
-    }
-  };
-  std::barrier<> phase_barrier(threads);
-  std::barrier<decltype(on_slot_end)> slot_barrier(threads, on_slot_end);
-
-  const auto worker = [&](int w, obs::ShardRuntime* rt) {
-    Shard& shard = shards[static_cast<std::size_t>(w)];
-    const auto enqueue = [&](const VoqEntry& entry, hypergraph::Node at,
-                             bool measuring) {
-      const std::int32_t slot = routes_.next_slot(at, entry.destination);
-      const std::size_t qi = static_cast<std::size_t>(
-          voq_base_[static_cast<std::size_t>(at)] + slot);
-      if (queue_cap > 0 &&
-          static_cast<std::int64_t>(voq.size(qi)) >= queue_cap) {
-        if (measuring) {
-          ++shard.dropped;
-        }
-        --shard.inflight_delta;
-        return;
-      }
-      voq.push(qi, entry);
-    };
-
-    while (true) {
-      const bool measuring = now >= config_.warmup_slots && now < horizon;
-
-      // Phase 1: generation over the shard's nodes (compact batch into
-      // the shard's slice of `senders`).
-      if (now < horizon) {
-        const std::size_t sender_count = traffic_.demand_batch_senders_streams(
-            shard.node_begin, shard.node_end, gen_rng.data(),
-            senders.data() + shard.node_begin);
-        if (measuring) {
-          shard.offered += static_cast<std::int64_t>(sender_count);
-        }
-        shard.inflight_delta += static_cast<std::int64_t>(sender_count);
-        for (std::size_t i = 0; i < sender_count; ++i) {
-          const SenderDemand d =
-              senders[static_cast<std::size_t>(shard.node_begin) + i];
-          if (config_.recorder != nullptr) {
-            config_.recorder->record(now, d.source, d.destination);
-          }
-          // Deterministic id without a shared counter.
-          enqueue(VoqEntry{now * nodes_ + d.source, d.destination, now, 0},
-                  d.source, measuring);
-        }
-      }
-      detail::timed_wait(phase_barrier, rt);
-
-      // Phase 2: arbitration over the shard's couplers. The request
-      // words are rebuilt locally from the arena (no shared masks, no
-      // atomics); a word build is a dense len_ scan per feed position.
-      for (hypergraph::HyperarcId h = shard.coupler_begin;
-           h < shard.coupler_end; ++h) {
-        auto& out = deliveries[static_cast<std::size_t>(h)];
-        out.clear();
-        const std::size_t fb =
-            static_cast<std::size_t>(feed_.feed_base[static_cast<std::size_t>(h)]);
-        const std::size_t source_count =
-            static_cast<std::size_t>(
-                feed_.feed_base[static_cast<std::size_t>(h) + 1]) -
-            fb;
-        const std::size_t words = (source_count + 63) / 64;
-        std::uint64_t any = 0;
-        for (std::size_t wi = 0; wi < words; ++wi) {
-          shard.request[wi] = 0;
-        }
-        for (std::size_t si = 0; si < source_count; ++si) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-          if (!voq.empty(qi)) {
-            shard.request[si >> 6] |= std::uint64_t{1} << (si & 63);
-          }
-        }
-        for (std::size_t wi = 0; wi < words; ++wi) {
-          any |= shard.request[wi];
-        }
-        if (any == 0) {
-          continue;
-        }
-        const bool collided = detail::pick_winners(
-            policy, capacity, source_count, shard.request.data(), words,
-            token_[static_cast<std::size_t>(h)],
-            arb_rng[static_cast<std::size_t>(h)], shard.winners,
-            shard.scratch);
-        if (collided && measuring) {
-          ++shard.collisions;
-        }
-        for (std::size_t si : shard.winners) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-          VoqEntry entry = voq.pop_front(qi);
-          ++entry.hops;
-          if (measuring) {
-            ++shard.transmissions;
-            ++coupler_success[static_cast<std::size_t>(h)];
-          }
-          out.push_back(entry);
-        }
-      }
-      detail::timed_wait(phase_barrier, rt);
-
-      // Phase 3: every worker scans all deliveries in coupler order and
-      // consumes the ones whose relay it owns, so the push order at each
-      // node is canonical regardless of the partition.
-      for (hypergraph::HyperarcId h = 0; h < couplers_; ++h) {
-        const auto& list = deliveries[static_cast<std::size_t>(h)];
-        for (std::size_t di = 0; di < list.size(); ++di) {
-          if (di + kRelayPrefetchAhead < list.size()) {
-            routes_.prefetch_relay(
-                h, list[di + kRelayPrefetchAhead].destination);
-          }
-          const VoqEntry& entry = list[di];
-          const hypergraph::Node relay = routes_.relay(h, entry.destination);
-          if (relay < shard.node_begin || relay >= shard.node_end) {
-            continue;
-          }
-          if (relay == entry.destination) {
-            if (measuring) {
-              ++shard.delivered;
-              if (entry.created >= config_.warmup_slots) {
-                shard.latency.record(now - entry.created + 1);
-              }
-            }
-            --shard.inflight_delta;
-          } else {
-            enqueue(entry, relay, measuring);
-          }
-        }
-      }
-      if (tel != nullptr && tel->due(now)) {
-        // Sampling boundary: one extra barrier makes every shard's
-        // phase-3 pushes visible, then each worker snapshots its own
-        // counters and coupler range into its private frame. All
-        // workers agree on due(now) -- `now` is slot-barrier state.
-        detail::timed_wait(phase_barrier, rt);
-        obs::ProbeRegistry& frame = frames[static_cast<std::size_t>(w)];
-        const obs::EngineProbes& ids = tel->engine_probes();
-        shard.snapshot(frame, ids);
-        detail::observe_occupancy(frame, ids.occupancy, feed_, voq,
-                                  shard.coupler_begin, shard.coupler_end);
-      }
-      if (rt != nullptr) {
-        // Slot engines have a fixed one-slot "window".
-        ++rt->windows;
-        ++rt->lookahead_used;
-        ++rt->lookahead_available;
-      }
-      detail::timed_wait(slot_barrier, rt);
-      if (!running) {
-        break;
-      }
-    }
-  };
-  runtime.run(threads, "phased_sharded", "open_loop", worker);
-
-  if (ckpt_error != nullptr) {
-    std::rethrow_exception(ckpt_error);
-  }
-
-  RunMetrics metrics;
-  metrics.slots = config_.measure_slots;
-  for (const Shard& shard : shards) {
-    shard.fold_into(metrics);
-  }
-  metrics.backlog = inflight;
-  metrics.interrupted = interrupted;
-  // Drill interruptions skip finish(): the process "died", and the
-  // resumed run continues the telemetry stream where this one stopped.
-  if (tel != nullptr && !interrupted) {
-    windows.finish();
-    detail::fill_metric_probes(*tel, metrics, inflight, feed_, voq);
-    tel->finish(tel_last);
-  }
-  return metrics;
-}
-
-template <routing::RouteView Routes>
-RunMetrics PhasedEngineT<Routes>::run_workload(
-    std::vector<std::int64_t>& coupler_success) {
-  workload::Workload& load = *config_.workload;
-  load.reset();
-
-  // Engine::kPhased is this loop with one shard. Every engine draws
-  // workload randomness from the per-node/per-coupler streams (see
+  // Open-loop sharded runs and every closed-loop run share this loop;
+  // a closed-loop Engine::kPhased run is it with one shard. All
+  // randomness comes from the per-node/per-coupler streams (see
   // ops_network.hpp detail tags), so no partition can move a draw.
+  workload::Workload* const load = config_.workload.get();
+  const bool closed = load != nullptr;
+  if (closed) {
+    load->reset();
+  }
   const bool sharded = config_.engine == Engine::kSharded;
   const int threads =
       sharded ? detail::clamp_threads(config_.threads, nodes_, couplers_) : 1;
@@ -727,9 +355,21 @@ RunMetrics PhasedEngineT<Routes>::run_workload(
   std::vector<core::Rng> gen_rng = node_streams(config_.seed, nodes_);
   std::vector<core::Rng> arb_rng = coupler_streams(config_.seed, couplers_);
 
-  const std::int64_t background_base = load.packet_count();
-  const SimTime bound = workload_slot_bound(load);
+  // Open and closed loops differ only here and in the completion step.
+  // Open loop: generation stops at `window_end`, only the measure window
+  // [window_begin, window_end) counts, and the run drains up to a
+  // million slots past it. Closed loop: the whole run is one measure
+  // window, background traffic runs until the workload completes, and
+  // the workload's bound caps the run. Background packet ids start
+  // after the workload's ids (at 0 in open loop).
+  const std::int64_t background_base = closed ? load->packet_count() : 0;
+  const SimTime window_begin = closed ? 0 : config_.warmup_slots;
+  const SimTime window_end =
+      closed ? workload_slot_bound(*load) + 1
+             : config_.warmup_slots + config_.measure_slots;
+  const SimTime last_slot = closed ? window_end - 1 : window_end + 1'000'000;
   const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
+  const std::int64_t queue_cap = config_.queue_capacity;  // 0 when closed
   const Arbitration policy = config_.arbitration;
 
   VoqArena voq;
@@ -769,36 +409,121 @@ RunMetrics PhasedEngineT<Routes>::run_workload(
     shard.inbox.resize(static_cast<std::size_t>(threads));
     shard.latency.prepare(
         resolve_latency_sketch(config_.latency_mode, nodes_),
-        background_base / threads + 1);
+        closed ? background_base / threads + 1
+               : config_.measure_slots * (shard.node_end - shard.node_begin));
     detail::assign_pool(voq, voq_base_, shard.node_begin, shard.node_end, w);
   }
 
   // Telemetry: per-shard probe frames, folded with order-independent
   // integer adds in the slot barrier's completion step -- the merged
   // values are sums over ALL nodes/couplers, so they cannot depend on
-  // the partition (= thread count). Closed-loop runs have no warmup, so
-  // the whole run is one "measure" window.
+  // the partition (= thread count).
   obs::Telemetry* const tel = config_.telemetry.get();
-  obs::WindowSpans windows(tel, 0, bound + 1);
+  obs::WindowSpans windows(tel, window_begin, window_end);
   SimTime tel_last = 0;
   std::vector<obs::ProbeRegistry> frames = detail::probe_frames(tel, threads);
 
   // Runtime channel (obs/runtime_stats.hpp): wall-clock barrier/work
   // and mailbox accounting, one private row per shard. Serial phased
-  // runs report no shards, as in open-loop mode.
+  // runs report no shards.
   detail::ShardRuntimes runtime(
       sharded ? config_.runtime_stats.get() : nullptr, threads);
 
   // Slot state shared across workers; mutated only in the slot
-  // barrier's completion step (every worker is blocked then). `inject`
-  // is read-only during phases.
+  // barrier's completion step (every worker is blocked then) and read
+  // once per slot by the workers. `inject` is read-only during phases.
   SimTime now = 0;
   std::int64_t inflight = 0;
   std::int64_t makespan = 0;
-  bool load_done = false;
+  bool generating = true;  ///< background traffic fires this slot
   bool running = true;
+  bool interrupted = false;  ///< checkpoint_stop_at drill fired
   std::vector<workload::WorkloadPacket> inject;
-  load.poll(0, inject);
+  if (closed) {
+    load->poll(0, inject);
+  }
+
+  // Checkpointing (open loop only; validation rejects it with a
+  // workload). The blob holds the fold of the per-shard counters and the
+  // per-unit RNG streams, never the partition itself, so it is
+  // thread-count independent: a run checkpointed with 2 workers resumes
+  // bit-identically with 8. Saves happen in the completion step -- every
+  // worker is blocked, so the shared state is quiescent -- and only at
+  // the top of a slot the run will execute (the serial loop's contract).
+  const std::int64_t ckpt_every = config_.checkpoint_every_slots;
+  std::exception_ptr ckpt_error;  ///< completion step is noexcept
+  const auto save_checkpoint = [&](SimTime next_slot) {
+    core::BlobWriter out;
+    checkpoint_write_header(out, config_, nodes_, couplers_);
+    out.put_i64(next_slot);
+    out.put_i64(inflight);
+    for (const core::Rng& r : gen_rng) {
+      out.put_rng(r);
+    }
+    for (const core::Rng& r : arb_rng) {
+      out.put_rng(r);
+    }
+    out.put_i64_vec(token_);
+    RunMetrics fold;
+    for (const Shard& shard : shards) {
+      shard.fold_into(fold);
+    }
+    out.put_i64(fold.offered_packets);
+    out.put_i64(fold.delivered_packets);
+    out.put_i64(fold.dropped_packets);
+    out.put_i64(fold.coupler_transmissions);
+    out.put_i64(fold.collisions);
+    fold.latency.serialize(out);
+    out.put_i64_vec(coupler_success);
+    checkpoint_put_voq(out, voq);
+    std::vector<std::int64_t> traffic_state;
+    traffic_.checkpoint_state(traffic_state);
+    out.put_i64_vec(traffic_state);
+    checkpoint_put_telemetry(out, tel, tel_last);
+    checkpoint_store(config_.checkpoint_path, out);
+  };
+  if (config_.checkpoint_resume) {
+    std::vector<std::uint8_t> blob;
+    if (checkpoint_load(config_.checkpoint_path, config_, nodes_, couplers_,
+                        blob)) {
+      core::BlobReader in(blob);
+      (void)checkpoint_read_header(in, config_, nodes_, couplers_);
+      now = in.get_i64();
+      generating = now < window_end;
+      inflight = in.get_i64();
+      for (core::Rng& r : gen_rng) {
+        r = in.get_rng();
+      }
+      for (core::Rng& r : arb_rng) {
+        r = in.get_rng();
+      }
+      token_ = in.get_i64_vec();
+      // The folded counters land in shard 0; the final fold is an
+      // order-independent sum/merge, so the split is irrelevant.
+      Shard& s0 = shards[0];
+      s0.offered = in.get_i64();
+      s0.delivered = in.get_i64();
+      s0.dropped = in.get_i64();
+      s0.transmissions = in.get_i64();
+      s0.collisions = in.get_i64();
+      s0.latency.deserialize(in);
+      coupler_success = in.get_i64_vec();
+      checkpoint_get_voq(in, voq);
+      traffic_.restore_state(in.get_i64_vec());
+      tel_last = checkpoint_get_telemetry(in, tel);
+      // The blob stores queues, not masks: each shard re-marks its own
+      // non-empty VOQs so arbitration sees the saved requests.
+      for (Shard& shard : shards) {
+        for (std::int64_t qi = voq_base_[static_cast<std::size_t>(
+                 shard.node_begin)];
+             qi < voq_base_[static_cast<std::size_t>(shard.node_end)]; ++qi) {
+          if (!voq.empty(static_cast<std::size_t>(qi))) {
+            shard.masks.mark_nonempty(feed_, static_cast<std::size_t>(qi));
+          }
+        }
+      }
+    }
+  }
 
   const auto on_slot_end = [&]() noexcept {
     bool delivered_any = false;
@@ -808,15 +533,22 @@ RunMetrics PhasedEngineT<Routes>::run_workload(
       // Feed order across shards is arbitrary but irrelevant: poll()
       // depends only on the delivered SET (workload contract).
       for (std::int64_t id : shard.delivered_ids) {
-        load.delivered(id);
+        load->delivered(id);
         delivered_any = true;
       }
       shard.delivered_ids.clear();
     }
-    if (delivered_any) {
-      makespan = now + 1;
+    bool finished = false;
+    if (closed) {
+      if (delivered_any) {
+        makespan = now + 1;
+      }
+      generating = !load->done();
+      finished = !generating && inflight == 0;
+      inject.clear();
+    } else {
+      finished = now + 1 >= window_end && !(config_.drain && inflight > 0);
     }
-    load_done = load.done();
     if (tel != nullptr) {
       windows.at_slot(now);
       if (tel->due(now)) {
@@ -826,32 +558,56 @@ RunMetrics PhasedEngineT<Routes>::run_workload(
       }
       tel_last = now;
     }
-    inject.clear();
-    if (load_done && inflight == 0) {
+    if (finished) {
       running = false;
       return;
     }
     ++now;
-    if (now > bound) {
+    if (now > last_slot) {
       running = false;
       return;
     }
-    if (!load_done) {
-      load.poll(now, inject);
+    if (closed) {
+      if (generating) {
+        load->poll(now, inject);
+      }
+      return;
+    }
+    generating = now < window_end;
+    if (ckpt_every > 0 && now % ckpt_every == 0) {
+      try {
+        save_checkpoint(now);
+        if (config_.checkpoint_stop_at >= 0 &&
+            now >= config_.checkpoint_stop_at) {
+          interrupted = true;
+          running = false;
+        }
+      } catch (...) {
+        ckpt_error = std::current_exception();
+        running = false;
+      }
     }
   };
   std::barrier<> mail_barrier(threads);
   std::barrier<decltype(on_slot_end)> slot_barrier(threads, on_slot_end);
 
-  // queue_capacity is 0 in workload mode (validated), so enqueue never
-  // drops. Only the shard owning `at` calls it, and `at`'s VOQs feed
-  // only that shard's couplers, so the masks it marks are its own.
+  // Only the shard owning `at` calls this, and `at`'s VOQs feed only
+  // that shard's couplers, so the masks it marks are its own. Closed
+  // loops have no queue cap, so they never drop.
   const auto enqueue = [&](Shard& shard, const VoqEntry& entry,
-                           hypergraph::Node at) {
+                           hypergraph::Node at, bool measuring) {
     const std::int32_t slot = routes_.next_slot(at, entry.destination);
     const std::size_t qi = static_cast<std::size_t>(
         voq_base_[static_cast<std::size_t>(at)] + slot);
-    if (voq.empty(qi)) {
+    const std::size_t size = voq.size(qi);
+    if (queue_cap > 0 && static_cast<std::int64_t>(size) >= queue_cap) {
+      if (measuring) {
+        ++shard.dropped;
+      }
+      --shard.inflight_delta;
+      return;
+    }
+    if (size == 0) {
       shard.masks.mark_nonempty(feed_, qi);
     }
     voq.push(qi, entry);
@@ -862,12 +618,10 @@ RunMetrics PhasedEngineT<Routes>::run_workload(
     detail::OccupancyMasks& masks = shard.masks;
 
     while (true) {
-      // Slot state is read once per slot: the completion step changes
-      // it only while every worker is blocked.
       const SimTime slot = now;
-      const bool background = !load_done;
-      // Phase 1a: the shard's slice of the eligible injections, in the
-      // workload's (id-sorted) order.
+      const bool measuring = slot >= window_begin && slot < window_end;
+      // Phase 1a: the shard's slice of the eligible workload injections,
+      // in the workload's (id-sorted) order.
       for (const workload::WorkloadPacket& packet : inject) {
         if (packet.source < shard.node_begin ||
             packet.source >= shard.node_end) {
@@ -876,16 +630,19 @@ RunMetrics PhasedEngineT<Routes>::run_workload(
         ++shard.offered;
         ++shard.inflight_delta;
         enqueue(shard, VoqEntry{packet.id, packet.destination, slot, 0},
-                packet.source);
+                packet.source, measuring);
       }
-      // Phase 1b: open-loop background traffic over the shard's nodes
-      // until the workload is complete (load 0 generators never fire).
-      if (background) {
+      // Phase 1b: background traffic over the shard's nodes (load 0
+      // generators never fire). The id is a function of (slot, source),
+      // so no counter is shared.
+      if (generating) {
         const std::size_t sender_count =
             traffic_.demand_batch_senders_streams(
                 shard.node_begin, shard.node_end, gen_rng.data(),
                 senders.data() + shard.node_begin);
-        shard.offered += static_cast<std::int64_t>(sender_count);
+        if (measuring) {
+          shard.offered += static_cast<std::int64_t>(sender_count);
+        }
         shard.inflight_delta += static_cast<std::int64_t>(sender_count);
         for (std::size_t i = 0; i < sender_count; ++i) {
           const SenderDemand d =
@@ -896,7 +653,7 @@ RunMetrics PhasedEngineT<Routes>::run_workload(
           enqueue(shard,
                   VoqEntry{background_base + slot * nodes_ + d.source,
                            d.destination, slot, 0},
-                  d.source);
+                  d.source, measuring);
         }
       }
 
@@ -918,7 +675,7 @@ RunMetrics PhasedEngineT<Routes>::run_workload(
           const bool collided = detail::pick_winners(
               policy, capacity, source_count, masks.request.data() + mb,
               words, token_[h], arb_rng[h], shard.winners, shard.scratch);
-          if (collided) {
+          if (collided && measuring) {
             ++shard.collisions;
           }
           for (std::size_t si : shard.winners) {
@@ -929,8 +686,10 @@ RunMetrics PhasedEngineT<Routes>::run_workload(
               masks.mark_empty(feed_, qi);
             }
             ++entry.hops;
-            ++shard.transmissions;
-            ++coupler_success[h];
+            if (measuring) {
+              ++shard.transmissions;
+              ++coupler_success[h];
+            }
             shard.sent.push_back(
                 Winner{entry, static_cast<hypergraph::HyperarcId>(h)});
           }
@@ -950,8 +709,12 @@ RunMetrics PhasedEngineT<Routes>::run_workload(
         const hypergraph::Node relay =
             routes_.relay(win.coupler, win.entry.destination);
         if (relay == win.entry.destination) {
-          ++shard.delivered;
-          shard.latency.record(slot - win.entry.created + 1);
+          if (measuring) {
+            ++shard.delivered;
+            if (win.entry.created >= window_begin) {
+              shard.latency.record(slot - win.entry.created + 1);
+            }
+          }
           if (win.entry.id < background_base) {
             shard.delivered_ids.push_back(win.entry.id);
           }
@@ -960,7 +723,7 @@ RunMetrics PhasedEngineT<Routes>::run_workload(
         }
         if (threads == 1) {
           // Nothing to mail: this is the one-shard receive order already.
-          enqueue(shard, win.entry, relay);
+          enqueue(shard, win.entry, relay, measuring);
           continue;
         }
         const std::int32_t owner =
@@ -976,14 +739,15 @@ RunMetrics PhasedEngineT<Routes>::run_workload(
       shard.sent.clear();
       detail::timed_wait(mail_barrier, rt);
 
-      // Phase 3: relayed packets re-queue at their next hop. Producer
-      // order is coupler order (see ShardPlan), so every VOQ gets its
-      // pushes in the one-shard (coupler, winner) order, whatever the
-      // partition.
+      // Phase 3: relayed packets re-queue at their next hop, after the
+      // slot's injections. Producer order is coupler order (see
+      // ShardPlan), so every VOQ gets its pushes -- and the queue cap
+      // its drops -- in the one-shard (coupler, winner) order, whatever
+      // the partition.
       for (int p = 0; p < threads; ++p) {
         std::vector<Mail>& box = shard.inbox[static_cast<std::size_t>(p)];
         for (const Mail& mail : box) {
-          enqueue(shard, mail.entry, mail.relay);
+          enqueue(shard, mail.entry, mail.relay, measuring);
         }
         if (rt != nullptr && p != w) {
           rt->mailbox_msgs_replayed += static_cast<std::int64_t>(box.size());
@@ -1015,16 +779,24 @@ RunMetrics PhasedEngineT<Routes>::run_workload(
       }
     }
   };
-  runtime.run(threads, "phased_sharded", "workload", worker);
+  runtime.run(threads, "phased_sharded", closed ? "workload" : "open_loop",
+              worker);
+
+  if (ckpt_error != nullptr) {
+    std::rethrow_exception(ckpt_error);
+  }
 
   RunMetrics metrics;
-  metrics.slots = now + 1;
+  metrics.slots = closed ? now + 1 : config_.measure_slots;
   metrics.makespan_slots = makespan;
   for (const Shard& shard : shards) {
     shard.fold_into(metrics);
   }
   metrics.backlog = inflight;
-  if (tel != nullptr) {
+  metrics.interrupted = interrupted;
+  // Drill interruptions skip finish(): the process "died", and the
+  // resumed run continues the telemetry stream where this one stopped.
+  if (tel != nullptr && !interrupted) {
     windows.finish();
     detail::fill_metric_probes(*tel, metrics, inflight, feed_, voq);
     tel->finish(tel_last);

@@ -29,30 +29,35 @@
 /// Because both views answer every query identically, the two
 /// instantiations are bit-identical for every seed and thread count.
 ///
-/// Open-loop serial mode iterates nodes then couplers in id order
-/// drawing from the single legacy RNG stream, which makes it
-/// bit-identical to the event-queue engine for every seed. Open-loop
-/// sharded mode partitions nodes and couplers across worker threads with
-/// barrier-synced phases; all randomness comes from per-node
-/// (generation) and per-coupler (arbitration) streams, so the outcome is
-/// a pure function of the seed -- identical for every thread count and
-/// every partition.
+/// The engine has two run loops.
 ///
-/// Workload (closed-loop) mode -- SimConfig::workload set -- replaces
-/// the fixed measure window with run-to-completion: phase 1 injects the
-/// packets the workload reports eligible (plus open-loop background
-/// traffic until the workload completes), phase 3 feeds deliveries back
-/// to the workload, and the loop ends when every workload packet has
-/// been delivered and the network drained. It is one loop for both
-/// engines -- Engine::kPhased runs it with one shard -- over the
-/// feed-local shard plan (sharding.hpp): a coupler and all of its feed
-/// VOQs belong to one shard, which keeps its own occupancy masks, so
-/// phases 1 and 2 need no barrier. Arbitration looks each winner's relay
-/// up once and mails it to the shard owning the relay node; after one
-/// barrier every shard merges its inboxes by coupler id, so each VOQ
-/// sees its pushes in the same order for every shard count. Workload
-/// runs use the per-unit streams on every engine, so results are
-/// bit-identical across engines as well as thread counts.
+/// Open-loop serial mode (Engine::kPhased without a workload) iterates
+/// nodes then couplers in id order drawing from the single legacy RNG
+/// stream, which makes it bit-identical to the event-queue engine for
+/// every seed.
+///
+/// Every other run -- open-loop Engine::kSharded and every closed-loop
+/// run -- goes through one feed-local loop over the shard plan
+/// (sharding.hpp): a coupler and all of its feed VOQs belong to one
+/// shard, which keeps its own occupancy masks, so phases 1 and 2 need no
+/// barrier. Arbitration looks each winner's relay up once and mails it
+/// to the shard owning the relay node; after one barrier every shard
+/// replays its inboxes in producer order, which is coupler order, so
+/// each VOQ sees its pushes (and the queue cap its drops) in the same
+/// order for every shard count. All randomness comes from per-node
+/// (generation) and per-coupler (arbitration) streams, so the outcome is
+/// a pure function of the seed -- identical for every thread count.
+/// Closed-loop Engine::kPhased runs the loop with one shard, so workload
+/// results are bit-identical across engines as well as thread counts.
+///
+/// Open and closed loops differ only in set-up and in the slot-end
+/// completion step. Open loop runs a warm-up and a fixed measure window,
+/// then optionally drains, and supports mid-run checkpoints. Workload
+/// (closed-loop) mode -- SimConfig::workload set -- runs to completion:
+/// phase 1 injects the packets the workload reports eligible (plus
+/// open-loop background traffic until the workload completes), phase 3
+/// feeds deliveries back to the workload, and the loop ends when every
+/// workload packet has been delivered and the network drained.
 
 #include <cstdint>
 #include <memory>
@@ -86,8 +91,7 @@ class PhasedEngineT {
 
  private:
   RunMetrics run_serial(std::vector<std::int64_t>& coupler_success);
-  RunMetrics run_sharded(std::vector<std::int64_t>& coupler_success);
-  RunMetrics run_workload(std::vector<std::int64_t>& coupler_success);
+  RunMetrics run_feed_local(std::vector<std::int64_t>& coupler_success);
 
   const hypergraph::StackGraph& network_;
   const Routes& routes_;
