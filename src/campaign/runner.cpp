@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -191,7 +192,9 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
 
   // Shared telemetry sinks: one timeseries writer and one trace sink
   // for the whole campaign; every cell's rows and spans are tagged, so
-  // concurrent writers interleave without ambiguity.
+  // concurrent writers interleave without ambiguity. A resuming writer
+  // holds the earlier rows back and writes a cell's rows again only
+  // when that cell is not rerun from slot 0 (see below).
   const obs::TelemetryConfig& tcfg = spec_.telemetry;
   std::shared_ptr<obs::TimeSeriesWriter> ts_writer;
   std::shared_ptr<obs::ChromeTraceSink> trace_sink;
@@ -199,7 +202,8 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
     ts_writer = std::make_shared<obs::TimeSeriesWriter>(
         tcfg.timeseries_path.empty()
             ? std::string()
-            : resolve_out_path(options.out_dir, tcfg.timeseries_path));
+            : resolve_out_path(options.out_dir, tcfg.timeseries_path),
+        options.resume);
   }
   if (!tcfg.trace_path.empty()) {
     trace_sink = std::make_shared<obs::ChromeTraceSink>(
@@ -217,7 +221,8 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
   std::shared_ptr<obs::RuntimeStatsWriter> rt_writer;
   if (!spec_.runtime_stats_path.empty()) {
     rt_writer = std::make_shared<obs::RuntimeStatsWriter>(
-        resolve_out_path(options.out_dir, spec_.runtime_stats_path));
+        resolve_out_path(options.out_dir, spec_.runtime_stats_path),
+        options.resume);
   }
 
   OTIS_REQUIRE(options.shard_count >= 1 && options.shard_index >= 0 &&
@@ -258,6 +263,13 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
       ++report.skipped_cells;
     } else {
       pending.push_back(&cell);
+      continue;
+    }
+    // A cell this invocation does not run keeps its timeseries rows; a
+    // pending cell gets its rows up to its checkpoint back only when its
+    // blob loads (Telemetry::restore_sampler).
+    if (ts_writer != nullptr) {
+      ts_writer->restore(cell.id, std::numeric_limits<std::int64_t>::max());
     }
   }
 

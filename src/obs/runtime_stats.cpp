@@ -8,10 +8,11 @@
 
 namespace otis::obs {
 
-RuntimeStatsWriter::RuntimeStatsWriter(std::string path)
+RuntimeStatsWriter::RuntimeStatsWriter(std::string path, bool append)
     : path_(std::move(path)) {
   if (!path_.empty()) {
-    out_.open(path_, std::ios::out | std::ios::trunc);
+    out_.open(path_,
+              std::ios::out | (append ? std::ios::app : std::ios::trunc));
     OTIS_REQUIRE(out_.is_open(),
                  "RuntimeStatsWriter: cannot open " + path_);
   }

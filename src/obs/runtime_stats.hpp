@@ -89,10 +89,12 @@ struct WorkerRuntime {
 };
 
 /// Thread-safe append-only JSONL stream for runtime rows, shared
-/// across a campaign's cells. An empty path counts rows only.
+/// across a campaign's cells. An empty path counts rows only. With
+/// `append` (a resuming campaign) the rows already at `path` stay and
+/// new rows follow them.
 class RuntimeStatsWriter {
  public:
-  explicit RuntimeStatsWriter(std::string path);
+  explicit RuntimeStatsWriter(std::string path, bool append = false);
 
   void append(const std::string& line);
   void flush();

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "core/error.hpp"
+#include "core/json.hpp"
 
 namespace otis::obs {
 
@@ -41,13 +42,32 @@ const std::vector<std::string>& engine_probe_names() {
 
 // ------------------------------------------------------ TimeSeriesWriter
 
-TimeSeriesWriter::TimeSeriesWriter(std::string path)
+TimeSeriesWriter::TimeSeriesWriter(std::string path, bool resume)
     : path_(std::move(path)) {
-  if (!path_.empty()) {
-    out_.open(path_, std::ios::trunc);
-    OTIS_REQUIRE(out_.good(), "TimeSeriesWriter: cannot open \"" + path_ +
-                                  "\" for writing");
+  if (path_.empty()) {
+    return;
   }
+  if (resume) {
+    // A torn last line (the process died mid-write) does not parse and
+    // is dropped; its cell reruns or resumes past it anyway.
+    std::ifstream in(path_);
+    for (std::string line; std::getline(in, line);) {
+      try {
+        const core::Json row = core::Json::parse(line);
+        const core::Json* cell = row.find("cell");
+        if (cell == nullptr) {
+          continue;
+        }
+        const bool schema = row.string_or("type", "") == "schema";
+        held_[cell->as_string()].push_back(
+            HeldRow{schema ? -1 : row.int_or("slot", -1), line});
+      } catch (const core::Error&) {
+      }
+    }
+  }
+  out_.open(path_, std::ios::trunc);
+  OTIS_REQUIRE(out_.good(), "TimeSeriesWriter: cannot open \"" + path_ +
+                                "\" for writing");
 }
 
 void TimeSeriesWriter::append(const std::string& line) {
@@ -56,6 +76,24 @@ void TimeSeriesWriter::append(const std::string& line) {
   if (out_.is_open()) {
     out_ << line << "\n";
   }
+}
+
+void TimeSeriesWriter::restore(const std::string& cell,
+                               std::int64_t last_slot) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = held_.find(cell);
+  if (it == held_.end()) {
+    return;
+  }
+  for (const HeldRow& row : it->second) {
+    if (row.slot <= last_slot) {
+      ++rows_;
+      if (out_.is_open()) {
+        out_ << row.line << "\n";
+      }
+    }
+  }
+  held_.erase(it);
 }
 
 void TimeSeriesWriter::flush() {
@@ -207,6 +245,16 @@ void Telemetry::sample(std::int64_t slot) {
   }
   row += "}";
   writer_->append(row);
+}
+
+void Telemetry::restore_sampler(bool header_written,
+                                std::vector<std::int64_t> prev,
+                                std::int64_t last_slot) {
+  header_written_ = header_written;
+  prev_ = std::move(prev);
+  if (header_written_ && writer_ != nullptr && !label_.empty()) {
+    writer_->restore(label_, last_slot);
+  }
 }
 
 void Telemetry::finish(std::int64_t last_slot) {

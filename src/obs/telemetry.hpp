@@ -33,6 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/probe.hpp"
@@ -80,19 +81,36 @@ struct EngineProbes {
 /// rows without writing -- the bench's discard mode.
 class TimeSeriesWriter {
  public:
-  explicit TimeSeriesWriter(std::string path);
+  /// With `resume`, the rows already at `path` are read and held back,
+  /// keyed by cell, before the file is rewritten; restore() writes a
+  /// cell's rows back. Without it the file starts empty.
+  explicit TimeSeriesWriter(std::string path, bool resume = false);
 
   void append(const std::string& line);
+  /// Writes back the held rows of `cell` -- its schema row and every
+  /// sample at or before `last_slot` -- and forgets the rest of them. A
+  /// resuming campaign calls it for each cell it does not run, and a
+  /// cell's session calls it when the cell resumes from its checkpoint,
+  /// whose last sampled slot is `last_slot`; every other cell reruns
+  /// from slot 0, so its old rows are dropped.
+  void restore(const std::string& cell, std::int64_t last_slot);
   void flush();
   void close();
   [[nodiscard]] std::int64_t rows() const;
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
+  /// A held-back row: its slot (-1 for the schema row) and its bytes.
+  struct HeldRow {
+    std::int64_t slot = -1;
+    std::string line;
+  };
+
   std::string path_;
   mutable std::mutex mutex_;
   std::ofstream out_;
   std::int64_t rows_ = 0;
+  std::unordered_map<std::string, std::vector<HeldRow>> held_;
 };
 
 /// One run's telemetry session. Engines reach it through
@@ -148,10 +166,12 @@ class Telemetry {
       const noexcept {
     return prev_;
   }
-  void restore_sampler(bool header_written, std::vector<std::int64_t> prev) {
-    header_written_ = header_written;
-    prev_ = std::move(prev);
-  }
+  /// Restores that state at a checkpoint whose last sampled slot is
+  /// `last_slot`; a campaign cell's rows up to it that an earlier
+  /// invocation wrote go back into the shared writer (see
+  /// TimeSeriesWriter::restore).
+  void restore_sampler(bool header_written, std::vector<std::int64_t> prev,
+                       std::int64_t last_slot);
 
   [[nodiscard]] std::int64_t rows_sampled() const;
   /// Closes owned sinks (campaign-shared sinks are closed by their

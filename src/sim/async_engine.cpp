@@ -50,6 +50,8 @@ AsyncEngineT<Routes>::AsyncEngineT(const hypergraph::StackGraph& network,
   couplers_ = hg.hyperarc_count();
   OTIS_REQUIRE(timing_.coupler_count() == couplers_,
                "AsyncEngine: timing model sized for another network");
+  OTIS_REQUIRE(couplers_ <= std::numeric_limits<std::int32_t>::max(),
+               "AsyncEngine: coupler ids must fit 32 bits");
   voq_base_.resize(static_cast<std::size_t>(nodes_) + 1);
   voq_base_[0] = 0;
   for (hypergraph::Node v = 0; v < nodes_; ++v) {
@@ -86,17 +88,49 @@ SimTime AsyncEngineT<Routes>::lookahead_slots() const {
 }
 
 template <routing::RouteView Routes>
+const std::uint64_t* AsyncEngineT<Routes>::gated_request(
+    std::size_t h, SimTime slot_tick, bool open, const TimedVoqArena& voq,
+    const detail::OccupancyMasks& masks,
+    std::vector<std::uint64_t>& eligible) const {
+  const std::size_t mb = static_cast<std::size_t>(feed_.mask_base[h]);
+  const std::uint64_t* request = masks.request.data() + mb;
+  if (open) {
+    return request;
+  }
+  // Head eligible iff its own tuning finished AND the transmitter
+  // re-tuned since the queue's previous transmission, both guard ticks
+  // before the boundary.
+  const std::size_t fb = static_cast<std::size_t>(feed_.feed_base[h]);
+  const std::size_t words =
+      static_cast<std::size_t>(feed_.mask_base[h + 1]) - mb;
+  const SimTime guard = timing_.guard();
+  std::uint64_t any = 0;
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    std::uint64_t bits = request[wi];
+    std::uint64_t elig = 0;
+    while (bits != 0) {
+      const std::size_t si =
+          (wi << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+      const std::uint64_t bit = bits & (~bits + 1);
+      bits &= bits - 1;
+      const std::size_t qi = static_cast<std::size_t>(feed_.feed_qi[fb + si]);
+      if (std::max(voq.front_ready(qi), retune_[qi]) + guard <= slot_tick) {
+        elig |= bit;
+      }
+    }
+    eligible[mb + wi] = elig;
+    any |= elig;
+  }
+  return any != 0 ? eligible.data() + mb : nullptr;
+}
+
+template <routing::RouteView Routes>
 RunMetrics AsyncEngineT<Routes>::run(
     std::vector<std::int64_t>& coupler_success) {
-  if (config_.workload != nullptr) {
-    return config_.engine == Engine::kAsyncSharded
-               ? run_workload_sharded(coupler_success)
-               : run_workload(coupler_success);
-  }
-  if (config_.engine == Engine::kAsyncSharded) {
+  coupler_success.assign(static_cast<std::size_t>(couplers_), 0);
+  if (config_.workload != nullptr || config_.engine == Engine::kAsyncSharded) {
     return run_sharded(coupler_success);
   }
-  coupler_success.assign(static_cast<std::size_t>(couplers_), 0);
   core::Rng rng = core::Rng::stream(config_.seed, kRunStream);
   RunMetrics metrics;
   metrics.slots = config_.measure_slots;
@@ -107,7 +141,6 @@ RunMetrics AsyncEngineT<Routes>::run(
   const SimTime horizon = config_.warmup_slots + config_.measure_slots;
   const SimTime drain_bound = horizon + 1'000'000;
   const SimTime warmup_tick = ticks_from_slots(config_.warmup_slots);
-  const SimTime guard = timing_.guard();
   const bool open = gates_open();
   std::int64_t inflight = 0;
   std::int64_t next_packet_id = 0;
@@ -325,43 +358,16 @@ RunMetrics AsyncEngineT<Routes>::run(
         const std::size_t h =
             (aw << 6) + static_cast<std::size_t>(std::countr_zero(aword));
         aword &= aword - 1;
+        const std::uint64_t* request =
+            gated_request(h, slot_tick, open, voq, masks, eligible);
+        if (request == nullptr) {
+          continue;
+        }
         const std::size_t fb = static_cast<std::size_t>(feed_.feed_base[h]);
         const std::size_t source_count =
             static_cast<std::size_t>(feed_.feed_base[h + 1]) - fb;
-        const std::size_t mb = static_cast<std::size_t>(feed_.mask_base[h]);
-        const std::size_t words =
-            static_cast<std::size_t>(feed_.mask_base[h + 1]) - mb;
-        const std::uint64_t* request = masks.request.data() + mb;
-        if (!open) {
-          // Head eligible iff its own tuning finished AND the
-          // transmitter re-tuned since the queue's previous
-          // transmission, both guard ticks before the boundary.
-          std::uint64_t any = 0;
-          for (std::size_t wi = 0; wi < words; ++wi) {
-            std::uint64_t bits = request[wi];
-            std::uint64_t elig = 0;
-            while (bits != 0) {
-              const std::size_t si =
-                  (wi << 6) +
-                  static_cast<std::size_t>(std::countr_zero(bits));
-              const std::uint64_t bit = bits & (~bits + 1);
-              bits &= bits - 1;
-              const std::size_t qi =
-                  static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-              const SimTime gate =
-                  std::max(voq.front_ready(qi), retune_[qi]);
-              if (gate + guard <= slot_tick) {
-                elig |= bit;
-              }
-            }
-            eligible[mb + wi] = elig;
-            any |= elig;
-          }
-          if (any == 0) {
-            continue;
-          }
-          request = eligible.data() + mb;
-        }
+        const std::size_t words = static_cast<std::size_t>(
+            feed_.mask_base[h + 1] - feed_.mask_base[h]);
         const bool collided =
             detail::pick_winners(policy, capacity, source_count, request,
                                  words, token_[h], rng, winners, scratch);
@@ -437,281 +443,64 @@ RunMetrics AsyncEngineT<Routes>::run(
 }
 
 template <routing::RouteView Routes>
-RunMetrics AsyncEngineT<Routes>::run_workload(
-    std::vector<std::int64_t>& coupler_success) {
-  coupler_success.assign(static_cast<std::size_t>(couplers_), 0);
-  workload::Workload& load = *config_.workload;
-  load.reset();
-
-  // Workload RNG contract (shared with the phased engines): generation
-  // from per-node streams, arbitration from per-coupler streams.
-  std::vector<core::Rng> gen_rng = detail::node_streams(config_.seed, nodes_);
-  std::vector<core::Rng> arb_rng =
-      detail::coupler_streams(config_.seed, couplers_);
-
-  RunMetrics metrics;
-  const std::int64_t background_base = load.packet_count();
-  // Shared with the phased engines; skew can only defer deliveries by
-  // bounded sub-slot amounts, so no extra headroom needed.
-  const SimTime bound = detail::workload_slot_bound(load);
-  const SimTime guard = timing_.guard();
-  const bool open = gates_open();
-  std::int64_t inflight = 0;
-  SimTime makespan_tick = 0;
-
-  TimedVoqArena voq;
-  voq.init(static_cast<std::size_t>(voq_base_.back()));
-  detail::OccupancyMasks masks;
-  masks.init(feed_);
-
-  struct Arrival {
-    VoqEntry entry;
-    hypergraph::HyperarcId coupler = 0;
-  };
-  CalendarQueue<Arrival> propagations;
-
-  std::vector<std::size_t> winners;
-  std::vector<std::size_t> scratch;
-  std::vector<std::uint64_t> eligible(
-      open ? 0 : static_cast<std::size_t>(feed_.mask_base.back()), 0);
-  std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
-  std::vector<workload::WorkloadPacket> inject;
-  const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
-  const Arbitration policy = config_.arbitration;
-  metrics.latency.prepare(
-      resolve_latency_sketch(config_.latency_mode, nodes_),
-      background_base);
-
-  // Telemetry, as in the open-loop run above (no warmup window).
-  obs::Telemetry* const tel = config_.telemetry.get();
-  obs::WindowSpans windows(tel, 0, bound + 1);
-  SimTime tel_last = 0;
-  const auto fill_probes = [&]() {
-    detail::fill_metric_probes(*tel, metrics, inflight, feed_, voq);
-    tel->probes().set(tel->engine_probes().pending_events,
-                      static_cast<std::int64_t>(propagations.pending()));
-  };
-
-  // queue_capacity is 0 in workload mode (validated): never drops.
-  const auto enqueue = [&](const VoqEntry& entry, hypergraph::Node at,
-                           SimTime tick) {
-    const std::int32_t slot = routes_.next_slot(at, entry.destination);
-    const std::size_t qi = static_cast<std::size_t>(
-        voq_base_[static_cast<std::size_t>(at)] + slot);
-    const std::size_t size = voq.size(qi);
-    SimTime ready = tick;
-    if (!open) {
-      ready = tick +
-              timing_.tuning(routes_.next_coupler(at, entry.destination));
-    }
-    voq.push(qi, TimedVoqEntry{entry.id, entry.destination, entry.created,
-                               entry.hops, ready});
-    if (size == 0) {
-      masks.mark_nonempty(feed_, qi);
-    }
-  };
-
-  const auto receive = [&](const Arrival& arrival, SimTime tick) {
-    const hypergraph::Node relay =
-        routes_.relay(arrival.coupler, arrival.entry.destination);
-    if (relay == arrival.entry.destination) {
-      ++metrics.delivered_packets;
-      metrics.latency.record(latency_slots(tick, arrival.entry.created));
-      if (arrival.entry.id < background_base) {
-        load.delivered(arrival.entry.id);
-        makespan_tick = std::max(makespan_tick, tick);
-      }
-      --inflight;
-    } else {
-      enqueue(arrival.entry, relay, tick);
-    }
-  };
-
-  SimTime now = 0;
-  for (;;) {
-    const SimTime slot_tick = ticks_from_slots(now);
-
-    // Receive everything that landed by this boundary; all of a
-    // boundary's deliveries reach the workload before the poll below
-    // (order within the boundary is irrelevant by the poll contract).
-    while (!propagations.empty() && propagations.peek().time <= slot_tick) {
-      auto event = propagations.pop();
-      receive(event.payload, event.time);
-    }
-    const bool load_done = load.done();
-    if (load_done && inflight == 0) {
-      break;
-    }
-    if (now > bound) {
-      // The phased engines count the bound-hit boundary as a slot
-      // (they break after ++now); do the same so slots/backlog agree
-      // across engines even for runs the bound cuts off.
-      ++now;
-      break;
-    }
-
-    // Inject the packets that became eligible, then background traffic
-    // (same per-node VOQ push order as the phased engines).
-    if (!load_done) {
-      inject.clear();
-      load.poll(now, inject);
-      for (const workload::WorkloadPacket& packet : inject) {
-        ++metrics.offered_packets;
-        ++inflight;
-        enqueue(VoqEntry{packet.id, packet.destination, slot_tick, 0},
-                packet.source, slot_tick);
-      }
-      const std::size_t sender_count = traffic_.demand_batch_senders_streams(
-          0, nodes_, gen_rng.data(), senders.data());
-      metrics.offered_packets += static_cast<std::int64_t>(sender_count);
-      inflight += static_cast<std::int64_t>(sender_count);
-      for (std::size_t i = 0; i < sender_count; ++i) {
-        const SenderDemand d = senders[i];
-        if (config_.recorder != nullptr) {
-          config_.recorder->record(now, d.source, d.destination);
-        }
-        enqueue(VoqEntry{background_base + now * nodes_ + d.source,
-                         d.destination, slot_tick, 0},
-                d.source, slot_tick);
-      }
-    }
-
-    // Arbitrate over eligibility-gated heads, per-coupler streams.
-    for (std::size_t aw = 0; aw < masks.active.size(); ++aw) {
-      std::uint64_t aword = masks.active[aw];
-      while (aword != 0) {
-        const std::size_t h =
-            (aw << 6) + static_cast<std::size_t>(std::countr_zero(aword));
-        aword &= aword - 1;
-        const std::size_t fb = static_cast<std::size_t>(feed_.feed_base[h]);
-        const std::size_t source_count =
-            static_cast<std::size_t>(feed_.feed_base[h + 1]) - fb;
-        const std::size_t mb = static_cast<std::size_t>(feed_.mask_base[h]);
-        const std::size_t words =
-            static_cast<std::size_t>(feed_.mask_base[h + 1]) - mb;
-        const std::uint64_t* request = masks.request.data() + mb;
-        if (!open) {
-          std::uint64_t any = 0;
-          for (std::size_t wi = 0; wi < words; ++wi) {
-            std::uint64_t bits = request[wi];
-            std::uint64_t elig = 0;
-            while (bits != 0) {
-              const std::size_t si =
-                  (wi << 6) +
-                  static_cast<std::size_t>(std::countr_zero(bits));
-              const std::uint64_t bit = bits & (~bits + 1);
-              bits &= bits - 1;
-              const std::size_t qi =
-                  static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-              const SimTime gate =
-                  std::max(voq.front_ready(qi), retune_[qi]);
-              if (gate + guard <= slot_tick) {
-                elig |= bit;
-              }
-            }
-            eligible[mb + wi] = elig;
-            any |= elig;
-          }
-          if (any == 0) {
-            continue;
-          }
-          request = eligible.data() + mb;
-        }
-        const bool collided = detail::pick_winners(
-            policy, capacity, source_count, request, words, token_[h],
-            arb_rng[h], winners, scratch);
-        if (collided) {
-          ++metrics.collisions;
-        }
-        for (std::size_t si : winners) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-          TimedVoqEntry entry = voq.pop_front(qi);
-          if (voq.empty(qi)) {
-            masks.mark_empty(feed_, qi);
-          }
-          if (!open) {
-            retune_[qi] = slot_tick + kTicksPerSlot +
-                          timing_.tuning(
-                              static_cast<hypergraph::HyperarcId>(h));
-          }
-          ++entry.hops;
-          ++metrics.coupler_transmissions;
-          ++coupler_success[h];
-          propagations.push(
-              slot_tick + kTicksPerSlot +
-                  timing_.propagation(static_cast<hypergraph::HyperarcId>(h)),
-              Arrival{VoqEntry{entry.id, entry.destination, entry.created,
-                               entry.hops},
-                      static_cast<hypergraph::HyperarcId>(h)});
-        }
-      }
-    }
-
-    if (tel != nullptr) {
-      windows.at_slot(now);
-      if (tel->due(now)) {
-        fill_probes();
-        tel->sample(now);
-      }
-      tel_last = now;
-    }
-    ++now;
-  }
-
-  metrics.slots = now;
-  metrics.makespan_slots =
-      (makespan_tick + kTicksPerSlot - 1) / kTicksPerSlot;
-  metrics.backlog = inflight;
-  if (tel != nullptr) {
-    windows.finish();
-    fill_probes();
-    tel->finish(tel_last);
-  }
-  return metrics;
-}
-
-template <routing::RouteView Routes>
 RunMetrics AsyncEngineT<Routes>::run_sharded(
     std::vector<std::int64_t>& coupler_success) {
+  // Open-loop kAsyncSharded runs and every closed-loop run share this
+  // loop; a closed-loop Engine::kAsync run is it with one shard.
+  workload::Workload* const load = config_.workload.get();
+  const bool closed = load != nullptr;
+  if (closed) {
+    load->reset();
+  }
+  const bool sharded = config_.engine == Engine::kAsyncSharded;
   const int threads =
-      detail::clamp_threads(config_.threads, nodes_, couplers_);
+      sharded ? detail::clamp_threads(config_.threads, nodes_, couplers_) : 1;
   const detail::ShardPlan plan =
       detail::plan_shards(threads, voq_base_, feed_);
-  coupler_success.assign(static_cast<std::size_t>(couplers_), 0);
 
-  // Sharded stream universe (shared with the sharded phased engine):
+  // Sharded stream universe (shared with the feed-local phased loop):
   // per-node generation streams, per-coupler arbitration streams, so
-  // the partition can never influence a draw. The serial async engine's
+  // the partition can never influence a draw. The serial open loop's
   // single kRunStream interleaves draws across the whole network and
   // cannot be split without replaying it, so the sharded open loop is a
   // different -- equally valid -- universe; in the slot-aligned limit it
-  // is bit-identical to Engine::kSharded, and workload runs (below) are
-  // bit-identical to serial Engine::kAsync.
+  // is bit-identical to Engine::kSharded.
   std::vector<core::Rng> gen_rng = detail::node_streams(config_.seed, nodes_);
   std::vector<core::Rng> arb_rng =
       detail::coupler_streams(config_.seed, couplers_);
 
-  RunMetrics metrics;
-  metrics.slots = config_.measure_slots;
-
-  const SimTime horizon = config_.warmup_slots + config_.measure_slots;
-  const SimTime drain_bound = horizon + 1'000'000;
-  const SimTime warmup_tick = ticks_from_slots(config_.warmup_slots);
-  const SimTime guard = timing_.guard();
+  // Open and closed loops differ only here and in the completion steps.
+  // Open loop: generation stops at `window_end`, only the measure window
+  // [window_begin, window_end) counts, and the run drains up to a
+  // million slots past it in windows of lookahead_slots(). Closed loop:
+  // delivery feedback gates injection every slot, so the window is one
+  // slot and a receive barrier between landing and injection feeds the
+  // workload; the whole run is measured and the workload's bound caps
+  // it. Background packet ids start after the workload's ids (at 0 in
+  // open loop).
+  const std::int64_t background_base = closed ? load->packet_count() : 0;
+  const SimTime window_begin = closed ? 0 : config_.warmup_slots;
+  const SimTime window_end =
+      closed ? detail::workload_slot_bound(*load) + 1
+             : config_.warmup_slots + config_.measure_slots;
+  const SimTime drain_bound = window_end + 1'000'000;
+  const SimTime warmup_tick = ticks_from_slots(window_begin);
   const bool open = gates_open();
-  const SimTime lookahead = lookahead_slots();
+  const SimTime lookahead = closed ? 1 : lookahead_slots();
   const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
-  const std::int64_t queue_cap = config_.queue_capacity;
+  const std::int64_t queue_cap = config_.queue_capacity;  // 0 when closed
   const Arbitration policy = config_.arbitration;
 
   TimedVoqArena voq;
   voq.init(static_cast<std::size_t>(voq_base_.back()),
            static_cast<std::size_t>(threads));
 
+  /// 40 bytes, so a calendar entry stays 56: a wider entry grows each
+  /// shard's calendar slab past the allocator's trim threshold, and every
+  /// short closed-loop run then pays fresh page faults.
   struct Arrival {
     VoqEntry entry;
-    hypergraph::HyperarcId coupler = 0;
+    std::int32_t coupler = 0;  ///< fits: checked at construction
     bool measuring = false;
   };
   /// A cross-shard arrival: the consumer replays the producer's
@@ -726,26 +515,34 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
   struct Shard : detail::ShardTally {
     std::int64_t node_begin = 0, node_end = 0;
     std::int64_t events_delta = 0;  ///< calendar pushes - pops, per fold
+    SimTime makespan_tick = 0;      ///< latest workload delivery
+    /// Request bits and coupler summary; only the bits of the shard's
+    /// own feed VOQs are ever set.
+    detail::OccupancyMasks masks;
+    std::vector<std::uint64_t> eligible;  ///< gate-screened request words
     CalendarQueue<Arrival> calendar;
-    std::vector<std::vector<Mail>> outbox;  ///< per consumer shard
+    std::vector<std::vector<Mail>> outbox;    ///< per consumer shard
+    std::vector<std::int64_t> delivered_ids;  ///< workload ids this slot
     std::vector<std::size_t> winners, scratch;
-    std::vector<std::uint64_t> request;
     /// Telemetry snapshots per window slot (cumulative deltas).
     std::vector<std::int64_t> backlog_snap, events_snap;
   };
   std::vector<Shard> shards(static_cast<std::size_t>(threads));
-  const std::size_t req_words = detail::max_mask_words(feed_);
   for (int w = 0; w < threads; ++w) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
     shard.node_begin = plan.node_cut[static_cast<std::size_t>(w)];
     shard.node_end = plan.node_cut[static_cast<std::size_t>(w) + 1];
+    shard.masks.init(feed_);
+    if (!open) {
+      shard.eligible.assign(shard.masks.request.size(), 0);
+    }
     shard.outbox.resize(static_cast<std::size_t>(threads));
-    shard.request.assign(req_words, 0);
     shard.backlog_snap.assign(static_cast<std::size_t>(lookahead), 0);
     shard.events_snap.assign(static_cast<std::size_t>(lookahead), 0);
     shard.latency.prepare(
         resolve_latency_sketch(config_.latency_mode, nodes_),
-        config_.measure_slots * (shard.node_end - shard.node_begin));
+        closed ? background_base / threads + 1
+               : config_.measure_slots * (shard.node_end - shard.node_begin));
     detail::assign_pool(voq, voq_base_, shard.node_begin, shard.node_end, w);
   }
 
@@ -757,31 +554,37 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
   // calendar-pending are global gauges reconstructed from the window
   // start value plus the shards' cumulative per-slot deltas.
   obs::Telemetry* const tel = config_.telemetry.get();
-  obs::WindowSpans windows(tel, config_.warmup_slots, horizon);
+  obs::WindowSpans windows(tel, window_begin, window_end);
   SimTime tel_last = 0;
   std::vector<obs::ProbeRegistry> frames =
       detail::probe_frames(tel, threads * lookahead);
 
   // Runtime channel (obs/runtime_stats.hpp): per-shard barrier-wait /
-  // window-width / mailbox / calendar-depth accounting. The flag is
-  // captured once; an attached-but-disabled session never reaches the
-  // loop. Sends are counted at the producer before the barrier, replays
-  // at the consumer inside the completion step (workers blocked), so
-  // across a run total sends == total replays.
-  detail::ShardRuntimes runtime(config_.runtime_stats.get(), threads);
+  // window-width / mailbox / calendar-depth accounting. Sends are
+  // counted at the producer before the window barrier, replays at the
+  // consumer inside its completion step (workers blocked), so across a
+  // run total sends == total replays. Serial async runs report no
+  // shards.
+  detail::ShardRuntimes runtime(
+      sharded ? config_.runtime_stats.get() : nullptr, threads);
 
-  // Window state shared across workers; mutated only by the window
-  // barrier's completion step, which runs while every worker is blocked.
+  // Run state shared across workers; mutated only by the barriers'
+  // completion steps, which run while every worker is blocked. `inject`
+  // is read-only during phases.
   SimTime win_begin = 0;
-  SimTime win_end = std::min(lookahead, horizon);
+  SimTime win_end = closed ? 1 : std::min(lookahead, window_end);
+  SimTime slots_run = 0;  ///< closed loop: slots executed
   std::int64_t inflight = 0;
   std::int64_t pending_total = 0;
+  bool load_done = false;  ///< closed loop: no more workload injections
   bool running = true;
   bool interrupted = false;  ///< checkpoint_stop_at drill fired
+  std::vector<workload::WorkloadPacket> inject;
 
-  // Checkpointing. Saves happen at window boundaries (the completion
-  // step, all workers blocked), at the first boundary at or past each
-  // checkpoint_every_slots multiple. As in the sharded phased engine
+  // Checkpointing (open loop only; validation rejects it with a
+  // workload). Saves happen at window boundaries (the completion step,
+  // all workers blocked), at the first boundary at or past each
+  // checkpoint_every_slots multiple. As in the feed-local phased loop
   // the blob folds the per-shard counters and keeps the per-unit RNG
   // streams, so it is thread-count independent; calendar entries carry
   // their global (time, seq) keys, and on restore each one lands on the
@@ -848,7 +651,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       (void)checkpoint_read_header(in, config_, nodes_, couplers_);
       win_begin = in.get_i64();
       win_end = std::min(win_begin + lookahead,
-                         win_begin < horizon ? horizon : drain_bound + 1);
+                         win_begin < window_end ? window_end : drain_bound + 1);
       if (ckpt_every > 0) {
         next_ckpt = (win_begin / ckpt_every + 1) * ckpt_every;
       }
@@ -862,6 +665,8 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       }
       token_ = in.get_i64_vec();
       retune_ = in.get_i64_vec();
+      // The folded counters land in shard 0; the final fold is an
+      // order-independent sum/merge, so the split is irrelevant.
       Shard& s0 = shards[0];
       s0.offered = in.get_i64();
       s0.delivered = in.get_i64();
@@ -880,7 +685,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
         arrival.entry.destination = in.get_i64();
         arrival.entry.created = in.get_i64();
         arrival.entry.hops = static_cast<std::int32_t>(in.get_i64());
-        arrival.coupler = static_cast<hypergraph::HyperarcId>(in.get_u64());
+        arrival.coupler = static_cast<std::int32_t>(in.get_u64());
         arrival.measuring = in.get_u8() != 0;
         const hypergraph::Node relay =
             routes_.relay(arrival.coupler, arrival.entry.destination);
@@ -893,9 +698,52 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       }
       traffic_.restore_state(in.get_i64_vec());
       tel_last = checkpoint_get_telemetry(in, tel);
+      // The blob stores queues, not masks: each shard re-marks its own
+      // non-empty VOQs so arbitration sees the saved requests.
+      for (Shard& shard : shards) {
+        for (std::int64_t qi = voq_base_[static_cast<std::size_t>(
+                 shard.node_begin)];
+             qi < voq_base_[static_cast<std::size_t>(shard.node_end)]; ++qi) {
+          if (!voq.empty(static_cast<std::size_t>(qi))) {
+            shard.masks.mark_nonempty(feed_, static_cast<std::size_t>(qi));
+          }
+        }
+      }
     }
   }
 
+  // Closed loop's receive barrier: fold the landings, feed the workload,
+  // and decide -- done with nothing in flight stops before the slot
+  // counts; a bound hit counts the boundary, as the phased engines do.
+  const auto on_receives_done = [&]() noexcept {
+    for (Shard& shard : shards) {
+      inflight += shard.inflight_delta;
+      shard.inflight_delta = 0;
+      pending_total += shard.events_delta;
+      shard.events_delta = 0;
+      // Feed order across shards is arbitrary but irrelevant: poll()
+      // depends only on the delivered SET (workload contract).
+      for (const std::int64_t id : shard.delivered_ids) {
+        load->delivered(id);
+      }
+      shard.delivered_ids.clear();
+    }
+    load_done = load->done();
+    if (load_done && inflight == 0) {
+      slots_run = win_begin;
+      running = false;
+      return;
+    }
+    if (win_begin >= window_end) {
+      slots_run = win_begin + 1;
+      running = false;
+      return;
+    }
+    inject.clear();
+    if (!load_done) {
+      load->poll(win_begin, inject);
+    }
+  };
   const auto on_window_end = [&]() noexcept {
     // Drain the mailboxes while every worker is blocked: a worker-side
     // drain would race with a producer that cleared the barrier first
@@ -945,7 +793,13 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       pending_total += shard.events_delta;
       shard.events_delta = 0;
     }
-    const bool more_traffic = win_end < horizon;
+    if (closed) {
+      // Closed loops leave only at the receive barrier.
+      win_begin = win_end;
+      win_end = win_begin + 1;
+      return;
+    }
+    const bool more_traffic = win_end < window_end;
     const bool keep_draining = config_.drain && inflight > 0;
     if (!(more_traffic || keep_draining)) {
       running = false;
@@ -957,7 +811,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       return;
     }
     win_end = std::min(win_begin + lookahead,
-                       win_begin < horizon ? horizon : drain_bound + 1);
+                       win_begin < window_end ? window_end : drain_bound + 1);
     // The run is definitely continuing into [win_begin, win_end): save
     // at the first boundary at or past the next checkpoint multiple.
     if (win_begin >= next_ckpt) {
@@ -975,19 +829,24 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       }
     }
   };
+  std::barrier<decltype(on_receives_done)> receive_barrier(threads,
+                                                           on_receives_done);
   std::barrier<decltype(on_window_end)> window_barrier(threads,
                                                        on_window_end);
 
   /// Queues `entry` at node `at` of `shard` (feed-local: `at` is owned
-  /// by `shard`). Mirrors the serial enqueue, with shard-local counters.
+  /// by `shard`, so the masks it marks are its own). Closed loops have no
+  /// queue cap, so they never drop. On the gates-open fast path ready is
+  /// never read, so the next-coupler lookup that only feeds the tuning
+  /// latency is skipped.
   const auto enqueue = [&](Shard& shard, const VoqEntry& entry,
                            hypergraph::Node at, SimTime tick,
                            bool measuring) {
     const std::int32_t slot = routes_.next_slot(at, entry.destination);
     const std::size_t qi = static_cast<std::size_t>(
         voq_base_[static_cast<std::size_t>(at)] + slot);
-    if (queue_cap > 0 &&
-        static_cast<std::int64_t>(voq.size(qi)) >= queue_cap) {
+    const std::size_t size = voq.size(qi);
+    if (queue_cap > 0 && static_cast<std::int64_t>(size) >= queue_cap) {
       if (measuring) {
         ++shard.dropped;
       }
@@ -1001,6 +860,9 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     }
     voq.push(qi, TimedVoqEntry{entry.id, entry.destination, entry.created,
                                entry.hops, ready});
+    if (size == 0) {
+      shard.masks.mark_nonempty(feed_, qi);
+    }
   };
 
   const auto receive = [&](Shard& shard, const Arrival& arrival,
@@ -1014,6 +876,10 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
           shard.latency.record(latency_slots(tick, arrival.entry.created));
         }
       }
+      if (arrival.entry.id < background_base) {
+        shard.delivered_ids.push_back(arrival.entry.id);
+        shard.makespan_tick = std::max(shard.makespan_tick, tick);
+      }
       --shard.inflight_delta;
     } else {
       enqueue(shard, arrival.entry, relay, tick, arrival.measuring);
@@ -1022,7 +888,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
 
   const auto worker = [&](int w, obs::ShardRuntime* rt) {
     Shard& shard = shards[static_cast<std::size_t>(w)];
-    const auto& my_couplers = plan.couplers[static_cast<std::size_t>(w)];
+    detail::OccupancyMasks& masks = shard.masks;
     while (true) {
       // Cross-shard arrivals were already replayed onto this shard's
       // calendar by the window barrier's completion step.
@@ -1036,16 +902,39 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       }
       for (SimTime s = win_begin; s < win_end; ++s) {
         const SimTime slot_tick = ticks_from_slots(s);
-        const bool measuring = s >= config_.warmup_slots && s < horizon;
+        const bool measuring = s >= window_begin && s < window_end;
 
+        // Receive every transmission that landed by this boundary.
         while (!shard.calendar.empty() &&
                shard.calendar.peek().time <= slot_tick) {
           auto event = shard.calendar.pop();
           --shard.events_delta;
           receive(shard, event.payload, event.time);
         }
+        if (closed) {
+          // All of a boundary's deliveries reach the workload before it
+          // is polled for this slot's injections.
+          detail::end_phase(threads, receive_barrier, on_receives_done, rt);
+          if (!running) {
+            return;
+          }
+        }
 
-        if (s < horizon) {
+        // Generate: the shard's slice of the eligible workload packets
+        // in the workload's (id-sorted) order, then background traffic
+        // (stops at the horizon; drain only afterwards). The id is a
+        // function of (slot, source), so no counter is shared.
+        for (const workload::WorkloadPacket& packet : inject) {
+          if (packet.source < shard.node_begin ||
+              packet.source >= shard.node_end) {
+            continue;
+          }
+          ++shard.offered;
+          ++shard.inflight_delta;
+          enqueue(shard, VoqEntry{packet.id, packet.destination, slot_tick, 0},
+                  packet.source, slot_tick, measuring);
+        }
+        if (!load_done && s < window_end) {
           const std::size_t sender_count =
               traffic_.demand_batch_senders_streams(
                   shard.node_begin, shard.node_end, gen_rng.data(),
@@ -1060,97 +949,86 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
             if (config_.recorder != nullptr) {
               config_.recorder->record(s, d.source, d.destination);
             }
-            // Deterministic id without a shared counter (the sharded
-            // phased convention).
             enqueue(shard,
-                    VoqEntry{s * nodes_ + d.source, d.destination,
-                             slot_tick, 0},
+                    VoqEntry{background_base + s * nodes_ + d.source,
+                             d.destination, slot_tick, 0},
                     d.source, slot_tick, measuring);
           }
         }
 
-        // Arbitrate the shard's couplers: the request words are rebuilt
-        // locally with the eligibility gate applied (occupied AND tuned
-        // guard ticks before the boundary) -- feed-locality makes every
-        // read shard-private.
-        for (const hypergraph::HyperarcId h : my_couplers) {
-          const std::size_t hs = static_cast<std::size_t>(h);
-          const std::size_t fb =
-              static_cast<std::size_t>(feed_.feed_base[hs]);
-          const std::size_t source_count =
-              static_cast<std::size_t>(feed_.feed_base[hs + 1]) - fb;
-          const std::size_t words = (source_count + 63) / 64;
-          std::uint64_t any = 0;
-          for (std::size_t wi = 0; wi < words; ++wi) {
-            shard.request[wi] = 0;
-          }
-          for (std::size_t si = 0; si < source_count; ++si) {
-            const std::size_t qi =
-                static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-            if (voq.empty(qi)) {
+        // Arbitrate the shard's occupied couplers, found by scanning its
+        // summary bitmap and screened through the eligibility gate --
+        // feed-locality makes every read shard-private.
+        for (std::size_t aw = 0; aw < masks.active.size(); ++aw) {
+          std::uint64_t aword = masks.active[aw];
+          while (aword != 0) {
+            const std::size_t h =
+                (aw << 6) + static_cast<std::size_t>(std::countr_zero(aword));
+            aword &= aword - 1;
+            const std::uint64_t* request =
+                gated_request(h, slot_tick, open, voq, masks, shard.eligible);
+            if (request == nullptr) {
               continue;
             }
-            if (!open) {
-              const SimTime gate =
-                  std::max(voq.front_ready(qi), retune_[qi]);
-              if (gate + guard > slot_tick) {
-                continue;
+            const std::size_t fb =
+                static_cast<std::size_t>(feed_.feed_base[h]);
+            const std::size_t source_count =
+                static_cast<std::size_t>(feed_.feed_base[h + 1]) - fb;
+            const std::size_t words =
+                static_cast<std::size_t>(feed_.mask_base[h + 1] -
+                                         feed_.mask_base[h]);
+            const bool collided = detail::pick_winners(
+                policy, capacity, source_count, request, words, token_[h],
+                arb_rng[h], shard.winners, shard.scratch);
+            if (collided && measuring) {
+              ++shard.collisions;
+            }
+            const auto coupler = static_cast<hypergraph::HyperarcId>(h);
+            const SimTime at =
+                slot_tick + kTicksPerSlot + timing_.propagation(coupler);
+            for (std::size_t idx = 0; idx < shard.winners.size(); ++idx) {
+              const std::size_t qi = static_cast<std::size_t>(
+                  feed_.feed_qi[fb + shard.winners[idx]]);
+              TimedVoqEntry entry = voq.pop_front(qi);
+              if (voq.empty(qi)) {
+                masks.mark_empty(feed_, qi);
               }
-            }
-            shard.request[si >> 6] |= std::uint64_t{1} << (si & 63);
-          }
-          for (std::size_t wi = 0; wi < words; ++wi) {
-            any |= shard.request[wi];
-          }
-          if (any == 0) {
-            continue;
-          }
-          const bool collided = detail::pick_winners(
-              policy, capacity, source_count, shard.request.data(), words,
-              token_[hs], arb_rng[hs], shard.winners, shard.scratch);
-          if (collided && measuring) {
-            ++shard.collisions;
-          }
-          const SimTime at =
-              slot_tick + kTicksPerSlot + timing_.propagation(h);
-          for (std::size_t idx = 0; idx < shard.winners.size(); ++idx) {
-            const std::size_t qi = static_cast<std::size_t>(
-                feed_.feed_qi[fb + shard.winners[idx]]);
-            TimedVoqEntry entry = voq.pop_front(qi);
-            if (!open) {
-              retune_[qi] = slot_tick + kTicksPerSlot + timing_.tuning(h);
-            }
-            ++entry.hops;
-            if (measuring) {
-              ++shard.transmissions;
-              ++coupler_success[hs];
-            }
-            // The global transmission order (slot, coupler, winner) is
-            // the sequence key: per-queue pop order then matches the
-            // serial engine's single auto-sequenced calendar exactly,
-            // whatever shard the event crosses into.
-            const std::uint64_t seq =
-                (static_cast<std::uint64_t>(s) *
-                     static_cast<std::uint64_t>(couplers_) +
-                 static_cast<std::uint64_t>(h)) *
-                    static_cast<std::uint64_t>(capacity) +
-                static_cast<std::uint64_t>(idx);
-            Arrival arrival{VoqEntry{entry.id, entry.destination,
-                                     entry.created, entry.hops},
-                            h, measuring};
-            ++shard.events_delta;
-            const hypergraph::Node relay =
-                routes_.relay(h, entry.destination);
-            if (relay != entry.destination &&
-                plan.node_owner[static_cast<std::size_t>(relay)] != w) {
-              shard
-                  .outbox[static_cast<std::size_t>(
-                      plan.node_owner[static_cast<std::size_t>(relay)])]
-                  .push_back(Mail{at, seq, std::move(arrival)});
-            } else {
-              // Final deliveries stay on the transmitter's calendar
-              // (only counters are touched at the landing).
-              shard.calendar.push_keyed(at, seq, std::move(arrival));
+              if (!open) {
+                retune_[qi] =
+                    slot_tick + kTicksPerSlot + timing_.tuning(coupler);
+              }
+              ++entry.hops;
+              if (measuring) {
+                ++shard.transmissions;
+                ++coupler_success[h];
+              }
+              // The global transmission order (slot, coupler, winner) is
+              // the sequence key: per-queue pop order then matches a
+              // single auto-sequenced calendar exactly, whatever shard
+              // the event crosses into.
+              const std::uint64_t seq =
+                  (static_cast<std::uint64_t>(s) *
+                       static_cast<std::uint64_t>(couplers_) +
+                   static_cast<std::uint64_t>(h)) *
+                      static_cast<std::uint64_t>(capacity) +
+                  static_cast<std::uint64_t>(idx);
+              Arrival arrival{VoqEntry{entry.id, entry.destination,
+                                       entry.created, entry.hops},
+                              static_cast<std::int32_t>(h), measuring};
+              ++shard.events_delta;
+              const hypergraph::Node relay =
+                  routes_.relay(coupler, entry.destination);
+              if (relay != entry.destination &&
+                  plan.node_owner[static_cast<std::size_t>(relay)] != w) {
+                shard
+                    .outbox[static_cast<std::size_t>(
+                        plan.node_owner[static_cast<std::size_t>(relay)])]
+                    .push_back(Mail{at, seq, std::move(arrival)});
+              } else {
+                // Final deliveries stay on the transmitter's calendar
+                // (only counters are touched at the landing).
+                shard.calendar.push_keyed(at, seq, std::move(arrival));
+              }
             }
           }
         }
@@ -1163,7 +1041,8 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
                      k];
           const obs::EngineProbes& ids = tel->engine_probes();
           shard.snapshot(frame, ids);
-          for (const hypergraph::HyperarcId h : my_couplers) {
+          for (const hypergraph::HyperarcId h :
+               plan.couplers[static_cast<std::size_t>(w)]) {
             detail::observe_occupancy(frame, ids.occupancy, feed_, voq, h,
                                       h + 1);
           }
@@ -1180,30 +1059,31 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
               static_cast<std::int64_t>(box.size() * sizeof(Mail));
         }
       }
-      detail::timed_wait(window_barrier, rt);
+      detail::end_phase(threads, window_barrier, on_window_end, rt);
       if (!running) {
-        break;
+        return;
       }
     }
   };
-  runtime.run(threads, "async_sharded", "open_loop", worker);
+  runtime.run(threads, "async_sharded", closed ? "workload" : "open_loop",
+              worker);
 
   if (ckpt_error != nullptr) {
     std::rethrow_exception(ckpt_error);
   }
 
-  // Land everything still in flight (the last window's barrier already
-  // drained every mailbox onto the calendars). A receive only counts a
-  // delivery or re-enqueues at a relay's VOQ -- it never schedules a
-  // new event -- so a full per-shard calendar drain empties the system.
-  // Per-queue order inside each shard still follows (time, seq); the
-  // cross-shard interleaving is irrelevant because a shard's flush
-  // touches only its own VOQs and counters. Drill interruptions skip
-  // the flush: the checkpoint already captured those events, and the
-  // resumed run lands them.
-  if (!interrupted) {
-    for (int w = 0; w < threads; ++w) {
-      Shard& shard = shards[static_cast<std::size_t>(w)];
+  // Open loop lands everything still in flight (the last window's
+  // barrier already drained every mailbox onto the calendars). A receive
+  // only counts a delivery or re-enqueues at a relay's VOQ -- it never
+  // schedules a new event -- so a full per-shard calendar drain empties
+  // the system. Per-queue order inside each shard still follows (time,
+  // seq); the cross-shard interleaving is irrelevant because a shard's
+  // flush touches only its own VOQs and counters. Drill interruptions
+  // skip the flush: the checkpoint already captured those events, and
+  // the resumed run lands them. Closed loops leave undeliverable events
+  // pending and report them as backlog.
+  if (!closed && !interrupted) {
+    for (Shard& shard : shards) {
       while (!shard.calendar.empty()) {
         auto event = shard.calendar.pop();
         receive(shard, event.payload, event.time);
@@ -1211,376 +1091,25 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     }
   }
 
+  RunMetrics metrics;
+  metrics.slots = closed ? slots_run : config_.measure_slots;
+  SimTime makespan_tick = 0;
+  std::int64_t pending = 0;
   for (const Shard& shard : shards) {
     shard.fold_into(metrics);
     inflight += shard.inflight_delta;
-  }
-  metrics.backlog = inflight;
-  metrics.interrupted = interrupted;
-  if (tel != nullptr && !interrupted) {
-    windows.finish();
-    detail::fill_metric_probes(*tel, metrics, inflight, feed_, voq);
-    tel->probes().set(tel->engine_probes().pending_events, 0);
-    tel->finish(tel_last);
-  }
-  return metrics;
-}
-
-template <routing::RouteView Routes>
-RunMetrics AsyncEngineT<Routes>::run_workload_sharded(
-    std::vector<std::int64_t>& coupler_success) {
-  const int threads =
-      detail::clamp_threads(config_.threads, nodes_, couplers_);
-  const detail::ShardPlan plan =
-      detail::plan_shards(threads, voq_base_, feed_);
-  coupler_success.assign(static_cast<std::size_t>(couplers_), 0);
-  workload::Workload& load = *config_.workload;
-  load.reset();
-
-  // Delivery feedback gates injection every slot, so the conservative
-  // window collapses to one slot: the cycle is two barriers per slot
-  // (receive+feed, then inject+arbitrate), bit-identical to the serial
-  // async workload loop -- same per-node/per-coupler streams, same ids,
-  // same (time, seq) receive order per queue.
-  std::vector<core::Rng> gen_rng = detail::node_streams(config_.seed, nodes_);
-  std::vector<core::Rng> arb_rng =
-      detail::coupler_streams(config_.seed, couplers_);
-
-  RunMetrics metrics;
-  const std::int64_t background_base = load.packet_count();
-  const SimTime bound = detail::workload_slot_bound(load);
-  const SimTime guard = timing_.guard();
-  const bool open = gates_open();
-  const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
-  const Arbitration policy = config_.arbitration;
-
-  TimedVoqArena voq;
-  voq.init(static_cast<std::size_t>(voq_base_.back()),
-           static_cast<std::size_t>(threads));
-
-  struct Arrival {
-    VoqEntry entry;
-    hypergraph::HyperarcId coupler = 0;
-  };
-  struct Mail {
-    SimTime time = 0;
-    std::uint64_t seq = 0;
-    Arrival arrival;
-  };
-
-  struct Shard : detail::ShardTally {
-    std::int64_t node_begin = 0, node_end = 0;
-    std::int64_t events_delta = 0;
-    SimTime makespan_tick = 0;
-    CalendarQueue<Arrival> calendar;
-    std::vector<std::int64_t> delivered_ids;  ///< workload ids this slot
-    std::vector<std::vector<Mail>> outbox;
-    std::vector<std::size_t> winners, scratch;
-    std::vector<std::uint64_t> request;
-  };
-  std::vector<Shard> shards(static_cast<std::size_t>(threads));
-  const std::size_t req_words = detail::max_mask_words(feed_);
-  for (int w = 0; w < threads; ++w) {
-    Shard& shard = shards[static_cast<std::size_t>(w)];
-    shard.node_begin = plan.node_cut[static_cast<std::size_t>(w)];
-    shard.node_end = plan.node_cut[static_cast<std::size_t>(w) + 1];
-    shard.outbox.resize(static_cast<std::size_t>(threads));
-    shard.request.assign(req_words, 0);
-    shard.latency.prepare(
-        resolve_latency_sketch(config_.latency_mode, nodes_),
-        load.packet_count() / threads + 1);
-    detail::assign_pool(voq, voq_base_, shard.node_begin, shard.node_end, w);
-  }
-
-  std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
-
-  obs::Telemetry* const tel = config_.telemetry.get();
-  obs::WindowSpans windows(tel, 0, bound + 1);
-  SimTime tel_last = 0;
-  std::vector<obs::ProbeRegistry> frames = detail::probe_frames(tel, threads);
-
-  // Runtime channel: as in the open-loop sharded mode, except replays
-  // are counted worker-side (each consumer drains its own mailboxes in
-  // phase A here).
-  detail::ShardRuntimes runtime(config_.runtime_stats.get(), threads);
-
-  // Slot state shared across workers; mutated only in the barriers'
-  // completion steps. `inject` is read-only during phases.
-  SimTime now = 0;
-  std::int64_t inflight = 0;
-  std::int64_t pending_total = 0;
-  bool load_done = false;
-  bool running = true;
-  std::vector<workload::WorkloadPacket> inject;
-
-  // Receive barrier: fold the landings, feed the workload, and decide
-  // -- replicating the serial loop's exit order exactly (done+empty
-  // stops before the slot counts; a bound hit counts the boundary).
-  const auto on_receives_done = [&]() noexcept {
-    for (Shard& shard : shards) {
-      inflight += shard.inflight_delta;
-      shard.inflight_delta = 0;
-      pending_total += shard.events_delta;
-      shard.events_delta = 0;
-      // Feed order across shards is arbitrary but irrelevant: poll()
-      // depends only on the delivered SET (workload contract).
-      for (const std::int64_t id : shard.delivered_ids) {
-        load.delivered(id);
-      }
-      shard.delivered_ids.clear();
-    }
-    load_done = load.done();
-    if (load_done && inflight == 0) {
-      running = false;
-      return;
-    }
-    if (now > bound) {
-      ++now;
-      running = false;
-      return;
-    }
-    inject.clear();
-    if (!load_done) {
-      load.poll(now, inject);
-    }
-  };
-  const auto on_slot_end = [&]() noexcept {
-    for (Shard& shard : shards) {
-      inflight += shard.inflight_delta;
-      shard.inflight_delta = 0;
-      pending_total += shard.events_delta;
-      shard.events_delta = 0;
-    }
-    if (tel != nullptr) {
-      windows.at_slot(now);
-      if (tel->due(now)) {
-        detail::merge_frames(*tel, frames, inflight);
-        tel->probes().set(tel->engine_probes().pending_events, pending_total);
-        tel->sample(now);
-      }
-      tel_last = now;
-    }
-    ++now;
-  };
-  std::barrier<decltype(on_receives_done)> receive_barrier(
-      threads, on_receives_done);
-  std::barrier<decltype(on_slot_end)> slot_barrier(threads, on_slot_end);
-
-  // queue_capacity is 0 in workload mode (validated): never drops.
-  const auto enqueue = [&](const VoqEntry& entry, hypergraph::Node at,
-                           SimTime tick) {
-    const std::int32_t slot = routes_.next_slot(at, entry.destination);
-    const std::size_t qi = static_cast<std::size_t>(
-        voq_base_[static_cast<std::size_t>(at)] + slot);
-    SimTime ready = tick;
-    if (!open) {
-      ready = tick +
-              timing_.tuning(routes_.next_coupler(at, entry.destination));
-    }
-    voq.push(qi, TimedVoqEntry{entry.id, entry.destination, entry.created,
-                               entry.hops, ready});
-  };
-
-  const auto receive = [&](Shard& shard, const Arrival& arrival,
-                           SimTime tick) {
-    const hypergraph::Node relay =
-        routes_.relay(arrival.coupler, arrival.entry.destination);
-    if (relay == arrival.entry.destination) {
-      ++shard.delivered;
-      shard.latency.record(latency_slots(tick, arrival.entry.created));
-      if (arrival.entry.id < background_base) {
-        shard.delivered_ids.push_back(arrival.entry.id);
-        shard.makespan_tick = std::max(shard.makespan_tick, tick);
-      }
-      --shard.inflight_delta;
-    } else {
-      enqueue(arrival.entry, relay, tick);
-    }
-  };
-
-  const auto worker = [&](int w, obs::ShardRuntime* rt) {
-    Shard& shard = shards[static_cast<std::size_t>(w)];
-    const auto& my_couplers = plan.couplers[static_cast<std::size_t>(w)];
-    while (true) {
-      const SimTime slot_tick = ticks_from_slots(now);
-
-      // Phase A: drain the mailboxes (written in the previous slot's
-      // phase B), then land everything due at this boundary.
-      for (int p = 0; p < threads; ++p) {
-        auto& box = shards[static_cast<std::size_t>(p)]
-                        .outbox[static_cast<std::size_t>(w)];
-        if (rt != nullptr) {
-          rt->mailbox_msgs_replayed +=
-              static_cast<std::int64_t>(box.size());
-        }
-        for (Mail& mail : box) {
-          shard.calendar.push_keyed(mail.time, mail.seq,
-                                    std::move(mail.arrival));
-        }
-        box.clear();
-      }
-      if (rt != nullptr) {
-        // The feedback-gated window is one slot wide by construction.
-        ++rt->windows;
-        ++rt->lookahead_used;
-        ++rt->lookahead_available;
-        rt->calendar_peak = std::max(
-            rt->calendar_peak,
-            static_cast<std::int64_t>(shard.calendar.pending()));
-      }
-      while (!shard.calendar.empty() &&
-             shard.calendar.peek().time <= slot_tick) {
-        auto event = shard.calendar.pop();
-        --shard.events_delta;
-        receive(shard, event.payload, event.time);
-      }
-      detail::timed_wait(receive_barrier, rt);
-      if (!running) {
-        break;
-      }
-
-      // Phase B: inject the shard's slice of the eligible workload
-      // packets, then background traffic, then arbitrate.
-      for (const workload::WorkloadPacket& packet : inject) {
-        if (packet.source < shard.node_begin ||
-            packet.source >= shard.node_end) {
-          continue;
-        }
-        ++shard.offered;
-        ++shard.inflight_delta;
-        enqueue(VoqEntry{packet.id, packet.destination, slot_tick, 0},
-                packet.source, slot_tick);
-      }
-      if (!load_done) {
-        const std::size_t sender_count =
-            traffic_.demand_batch_senders_streams(
-                shard.node_begin, shard.node_end, gen_rng.data(),
-                senders.data() + shard.node_begin);
-        shard.offered += static_cast<std::int64_t>(sender_count);
-        shard.inflight_delta += static_cast<std::int64_t>(sender_count);
-        for (std::size_t i = 0; i < sender_count; ++i) {
-          const SenderDemand d =
-              senders[static_cast<std::size_t>(shard.node_begin) + i];
-          if (config_.recorder != nullptr) {
-            config_.recorder->record(now, d.source, d.destination);
-          }
-          enqueue(VoqEntry{background_base + now * nodes_ + d.source,
-                           d.destination, slot_tick, 0},
-                  d.source, slot_tick);
-        }
-      }
-
-      for (const hypergraph::HyperarcId h : my_couplers) {
-        const std::size_t hs = static_cast<std::size_t>(h);
-        const std::size_t fb = static_cast<std::size_t>(feed_.feed_base[hs]);
-        const std::size_t source_count =
-            static_cast<std::size_t>(feed_.feed_base[hs + 1]) - fb;
-        const std::size_t words = (source_count + 63) / 64;
-        std::uint64_t any = 0;
-        for (std::size_t wi = 0; wi < words; ++wi) {
-          shard.request[wi] = 0;
-        }
-        for (std::size_t si = 0; si < source_count; ++si) {
-          const std::size_t qi =
-              static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-          if (voq.empty(qi)) {
-            continue;
-          }
-          if (!open) {
-            const SimTime gate = std::max(voq.front_ready(qi), retune_[qi]);
-            if (gate + guard > slot_tick) {
-              continue;
-            }
-          }
-          shard.request[si >> 6] |= std::uint64_t{1} << (si & 63);
-        }
-        for (std::size_t wi = 0; wi < words; ++wi) {
-          any |= shard.request[wi];
-        }
-        if (any == 0) {
-          continue;
-        }
-        const bool collided = detail::pick_winners(
-            policy, capacity, source_count, shard.request.data(), words,
-            token_[hs], arb_rng[hs], shard.winners, shard.scratch);
-        if (collided) {
-          ++shard.collisions;
-        }
-        const SimTime at = slot_tick + kTicksPerSlot + timing_.propagation(h);
-        for (std::size_t idx = 0; idx < shard.winners.size(); ++idx) {
-          const std::size_t qi = static_cast<std::size_t>(
-              feed_.feed_qi[fb + shard.winners[idx]]);
-          TimedVoqEntry entry = voq.pop_front(qi);
-          if (!open) {
-            retune_[qi] = slot_tick + kTicksPerSlot + timing_.tuning(h);
-          }
-          ++entry.hops;
-          ++shard.transmissions;
-          ++coupler_success[hs];
-          const std::uint64_t seq =
-              (static_cast<std::uint64_t>(now) *
-                   static_cast<std::uint64_t>(couplers_) +
-               static_cast<std::uint64_t>(h)) *
-                  static_cast<std::uint64_t>(capacity) +
-              static_cast<std::uint64_t>(idx);
-          Arrival arrival{
-              VoqEntry{entry.id, entry.destination, entry.created,
-                       entry.hops},
-              h};
-          ++shard.events_delta;
-          const hypergraph::Node relay = routes_.relay(h, entry.destination);
-          if (relay != entry.destination &&
-              plan.node_owner[static_cast<std::size_t>(relay)] != w) {
-            shard
-                .outbox[static_cast<std::size_t>(
-                    plan.node_owner[static_cast<std::size_t>(relay)])]
-                .push_back(Mail{at, seq, std::move(arrival)});
-          } else {
-            shard.calendar.push_keyed(at, seq, std::move(arrival));
-          }
-        }
-      }
-
-      if (tel != nullptr && tel->due(now)) {
-        // Feed-locality makes the snapshot shard-private, so no extra
-        // visibility barrier is needed (unlike the phased sharded mode,
-        // whose coupler feeds span other shards' nodes).
-        obs::ProbeRegistry& frame = frames[static_cast<std::size_t>(w)];
-        const obs::EngineProbes& ids = tel->engine_probes();
-        shard.snapshot(frame, ids);
-        for (const hypergraph::HyperarcId h : my_couplers) {
-          detail::observe_occupancy(frame, ids.occupancy, feed_, voq, h,
-                                    h + 1);
-        }
-      }
-      if (rt != nullptr) {
-        // The outboxes hold exactly this slot's phase-B sends (the
-        // consumers cleared them in their phase A).
-        for (const auto& box : shard.outbox) {
-          rt->mailbox_msgs_sent += static_cast<std::int64_t>(box.size());
-          rt->mailbox_bytes_sent +=
-              static_cast<std::int64_t>(box.size() * sizeof(Mail));
-        }
-      }
-      detail::timed_wait(slot_barrier, rt);
-    }
-  };
-  runtime.run(threads, "async_sharded", "workload", worker);
-
-  // No final flush: the serial workload loop leaves undeliverable
-  // events pending too and reports them as backlog.
-  metrics.slots = now;
-  SimTime makespan_tick = 0;
-  for (const Shard& shard : shards) {
-    shard.fold_into(metrics);
     makespan_tick = std::max(makespan_tick, shard.makespan_tick);
+    pending += static_cast<std::int64_t>(shard.calendar.pending());
   }
   metrics.makespan_slots = (makespan_tick + kTicksPerSlot - 1) / kTicksPerSlot;
   metrics.backlog = inflight;
-  if (tel != nullptr) {
+  metrics.interrupted = interrupted;
+  // Drill interruptions skip finish(): the process "died", and the
+  // resumed run continues the telemetry stream where this one stopped.
+  if (tel != nullptr && !interrupted) {
     windows.finish();
     detail::fill_metric_probes(*tel, metrics, inflight, feed_, voq);
-    tel->probes().set(tel->engine_probes().pending_events, pending_total);
+    tel->probes().set(tel->engine_probes().pending_events, pending);
     tel->finish(tel_last);
   }
   return metrics;

@@ -43,24 +43,33 @@
 /// With nonzero skew the run remains a pure function of the seed and the
 /// timing model.
 ///
-/// Engine::kAsyncSharded runs the same timed cycle as a conservative
-/// parallel discrete-event simulation: nodes are partitioned into
-/// contiguous shard ranges whose cuts never split a coupler's feed set
-/// (so a coupler, its feed VOQs and its retune gates are all owned by
-/// one worker), each shard advances an independent CalendarQueue, and
-/// workers run freely inside windows of `lookahead` slots -- a
-/// transmission in slot t lands no earlier than (t+1) * kTicksPerSlot +
-/// min_propagation, so lookahead = 1 + floor(min_propagation /
-/// kTicksPerSlot) slots of any shard's future are unaffected by the
-/// others (the bounded-window barrier relaxation DARSIM documents for
-/// registered hardware). Cross-shard arrivals travel through per-pair
-/// mailboxes drained at the window barrier; every calendar push carries
-/// an explicit global sequence key ((slot * couplers + coupler) *
-/// wavelengths + winner), so per-queue pop order equals the serial
-/// engine's single-queue order and results are invariant across thread
-/// counts. Open-loop sharded runs draw from the per-node/per-coupler
-/// stream universe (== the sharded phased engine when slot-aligned);
-/// workload runs are bit-identical to serial Engine::kAsync.
+/// The engine has two run loops. run() is the serial open loop: one
+/// calendar queue and the legacy single RNG stream, the parity reference
+/// against PhasedEngineT and the event queue (above). run_sharded() runs
+/// every other configuration as a conservative parallel discrete-event
+/// simulation: nodes are partitioned into contiguous shard ranges whose
+/// cuts never split a coupler's feed set (so a coupler, its feed VOQs,
+/// their occupancy bits and their retune gates are all owned by one
+/// worker, and each shard keeps its own OccupancyMasks), each shard
+/// advances an independent CalendarQueue, and workers run freely inside
+/// windows of `lookahead` slots -- a transmission in slot t lands no
+/// earlier than (t+1) * kTicksPerSlot + min_propagation, so lookahead =
+/// 1 + floor(min_propagation / kTicksPerSlot) slots of any shard's
+/// future are unaffected by the others (the bounded-window barrier
+/// relaxation DARSIM documents for registered hardware). Cross-shard
+/// arrivals travel through per-pair mailboxes drained at the window
+/// barrier; every calendar push carries an explicit global sequence key
+/// ((slot * couplers + coupler) * wavelengths + winner), so per-queue
+/// pop order is a pure function of the run and results are invariant
+/// across thread counts. Open-loop Engine::kAsyncSharded runs draw from
+/// the per-node/per-coupler stream universe (== the sharded phased
+/// engine when slot-aligned). A closed-loop (workload) run is the same
+/// loop with the lookahead pinned to one slot, because delivery feedback
+/// gates every slot's injections: one extra barrier after the receive
+/// step feeds the deliveries to the workload, applies the done/bound
+/// exit rules and polls. A closed-loop Engine::kAsync run is its
+/// one-shard case, so serial and sharded workload runs agree
+/// bit-for-bit by construction.
 
 #include <cstdint>
 #include <vector>
@@ -102,9 +111,10 @@ class AsyncEngineT {
   RunMetrics run(std::vector<std::int64_t>& coupler_success);
 
  private:
-  RunMetrics run_workload(std::vector<std::int64_t>& coupler_success);
+  /// Every run but the serial open loop: feed-local shards in
+  /// conservative windows (see file comment); closed loops run it with
+  /// one-slot windows.
   RunMetrics run_sharded(std::vector<std::int64_t>& coupler_success);
-  RunMetrics run_workload_sharded(std::vector<std::int64_t>& coupler_success);
   /// True when no tuning latency and no guard band exist: the
   /// eligibility gate cannot fail, so occupancy alone decides
   /// contention (see file comment).
@@ -112,6 +122,15 @@ class AsyncEngineT {
 
   /// Conservative window width in slots (>= 1; see file comment).
   [[nodiscard]] SimTime lookahead_slots() const;
+
+  /// The request words coupler `h` arbitrates over at the boundary
+  /// `slot_tick`: its occupancy words in `masks` when every gate is
+  /// `open`, else those words screened through the tuning/guard gate
+  /// into `eligible` (same layout). Null when no head may transmit.
+  [[nodiscard]] const std::uint64_t* gated_request(
+      std::size_t h, SimTime slot_tick, bool open, const TimedVoqArena& voq,
+      const detail::OccupancyMasks& masks,
+      std::vector<std::uint64_t>& eligible) const;
 
   const hypergraph::StackGraph& network_;
   const Routes& routes_;

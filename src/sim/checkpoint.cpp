@@ -154,7 +154,7 @@ std::int64_t checkpoint_get_telemetry(core::BlobReader& in,
   }
   const std::int64_t tel_last = in.get_i64();
   const bool header_written = in.get_u8() != 0;
-  tel->restore_sampler(header_written, in.get_i64_vec());
+  tel->restore_sampler(header_written, in.get_i64_vec(), tel_last);
   return tel_last;
 }
 

@@ -21,10 +21,9 @@
 ///    and pick_winners consumes the request words directly.
 ///
 /// No mask word is ever shared across threads (that would put atomics
-/// on the hot path). The closed-loop phased loop gives each feed-local
-/// shard its own OccupancyMasks, in which only the shard's couplers ever
-/// get bits; the other sharded loops rebuild a coupler's request words
-/// from the FeedIndex during arbitration instead.
+/// on the hot path). Every sharded loop -- phased run_feed_local and
+/// async run_sharded -- gives each feed-local shard its own
+/// OccupancyMasks, in which only the shard's couplers ever get bits.
 
 #include <cstdint>
 #include <vector>

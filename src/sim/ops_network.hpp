@@ -130,7 +130,7 @@ enum class Engine {
   kSharded,       ///< phased loop over N worker threads; thread-count invariant
   kAsync,         ///< calendar-queue timed events; == kPhased when slot-aligned
   kAsyncSharded,  ///< conservative-PDES async over N workers; thread-count
-                  ///< invariant, == serial kAsync bit-for-bit in workload mode
+                  ///< invariant; closed-loop kAsync is its one-shard case
 };
 
 [[nodiscard]] const char* engine_name(Engine engine);

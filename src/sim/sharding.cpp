@@ -61,15 +61,6 @@ int clamp_threads(int requested, std::int64_t nodes, std::int64_t couplers) {
       threads, std::max<std::int64_t>(1, std::max(nodes, couplers))));
 }
 
-std::size_t max_mask_words(const FeedIndex& fi) {
-  std::size_t widest = 1;
-  for (std::size_t h = 0; h < fi.coupler_count(); ++h) {
-    widest = std::max(widest, static_cast<std::size_t>(fi.mask_base[h + 1] -
-                                                       fi.mask_base[h]));
-  }
-  return widest;
-}
-
 ShardPlan plan_shards(int threads, const std::vector<std::int64_t>& voq_base,
                       const FeedIndex& feed) {
   const std::int64_t nodes = static_cast<std::int64_t>(voq_base.size()) - 1;
@@ -79,6 +70,16 @@ ShardPlan plan_shards(int threads, const std::vector<std::int64_t>& voq_base,
   plan.node_cut.assign(static_cast<std::size_t>(threads) + 1, 0);
   plan.node_cut.back() = nodes;
   plan.couplers.resize(static_cast<std::size_t>(threads));
+  plan.node_owner.assign(static_cast<std::size_t>(nodes), 0);
+  if (threads == 1) {
+    // One shard owns every node and coupler, so there is no cut to
+    // place (each serial closed-loop run plans this way, once per run).
+    plan.couplers[0].resize(static_cast<std::size_t>(couplers));
+    for (hypergraph::HyperarcId h = 0; h < couplers; ++h) {
+      plan.couplers[0][static_cast<std::size_t>(h)] = h;
+    }
+    return plan;
+  }
 
   // A cut between nodes k-1 and k is feed-local iff no coupler's feed
   // set spans it. A coupler's owner arbitrates over its feed VOQs while
@@ -126,7 +127,6 @@ ShardPlan plan_shards(int threads, const std::vector<std::int64_t>& voq_base,
     plan.node_cut[static_cast<std::size_t>(w)] =
         std::max(best, plan.node_cut[static_cast<std::size_t>(w) - 1]);
   }
-  plan.node_owner.assign(static_cast<std::size_t>(nodes), 0);
   for (int w = 0; w < threads; ++w) {
     for (std::int64_t v = plan.node_cut[static_cast<std::size_t>(w)];
          v < plan.node_cut[static_cast<std::size_t>(w) + 1]; ++v) {

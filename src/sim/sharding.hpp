@@ -30,9 +30,6 @@ namespace otis::sim::detail {
 [[nodiscard]] int clamp_threads(int requested, std::int64_t nodes,
                                 std::int64_t couplers);
 
-/// Widest request mask of any coupler, in words (per-shard scratch size).
-[[nodiscard]] std::size_t max_mask_words(const FeedIndex& fi);
-
 /// Feed-local partition: contiguous node ranges whose cuts never split a
 /// coupler's feed set, and per-shard coupler lists owned by the shard
 /// holding the coupler's feed nodes. The lists are consecutive blocks of
@@ -101,6 +98,20 @@ void timed_wait(Barrier& barrier, obs::ShardRuntime* rt) {
   const std::int64_t t0 = obs::runtime_now_ns();
   barrier.arrive_and_wait();
   rt->barrier_wait_ns += obs::runtime_now_ns() - t0;
+}
+
+/// Ends a phase: arrives at `barrier` and waits as timed_wait does, or,
+/// for a lone shard, runs the barrier's completion step `done` in place.
+/// A one-party std::barrier still synchronises on every arrival, which
+/// costs a serial closed loop a large share of each small slot.
+template <class Barrier, class Completion>
+void end_phase(int threads, Barrier& barrier, Completion& done,
+               obs::ShardRuntime* rt) {
+  if (threads == 1) {
+    done();
+    return;
+  }
+  timed_wait(barrier, rt);
 }
 
 /// The runtime channel's rows for one sharded run: one private

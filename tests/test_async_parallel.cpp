@@ -9,9 +9,11 @@
 //    sharded phased engine in the slot-aligned limit, and stay
 //    invariant under constant / per-level skew, guard bands, finite
 //    queues, WDM and drain;
-//  - workload (closed-loop) runs are bit-identical to the SERIAL async
-//    engine for every thread count, policy, table and skew profile,
-//    with and without background traffic;
+//  - workload (closed-loop) runs on N shards are bit-identical to the
+//    one-shard run of the same loop (serial Engine::kAsync with a
+//    workload) for every thread count, policy, table and skew profile,
+//    with and without background traffic; the independent reference
+//    for skewed closed loops is test_workload's hand-derived makespans;
 //  - telemetry: probe values and timeseries bytes do not depend on the
 //    worker count, and attaching a session never changes the metrics.
 

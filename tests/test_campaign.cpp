@@ -1214,6 +1214,86 @@ TEST(CampaignRunnerTest, CheckpointDrillThenResumeIsByteIdentical) {
   EXPECT_TRUE(std::filesystem::is_empty(drilled.path() / "checkpoints"));
 }
 
+/// Timeseries rows grouped by their cell, each cell's in file order.
+std::map<std::string, std::vector<std::string>> rows_by_cell(
+    const std::filesystem::path& path) {
+  std::map<std::string, std::vector<std::string>> rows;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    rows[core::Json::parse(line).at("cell").as_string()].push_back(line);
+  }
+  return rows;
+}
+
+TEST(CampaignRunnerTest, ResumeKeepsEachCellsTimeseriesRows) {
+  // --resume must leave every cell with exactly the timeseries rows an
+  // uninterrupted run writes for it: a completed cell keeps its rows, a
+  // cell resumed from its blob gets its rows up to the checkpoint back
+  // (one schema row, no gap, no duplicate), and a cell rerun from slot 0
+  // (blob damaged or missing) keeps no stale rows. The runtime channel
+  // appends under --resume instead of starting over.
+  CampaignSpec spec;
+  spec.name = "drill-timeseries";
+  spec.topologies = {TopologySpec::stack_kautz(4, 3, 2)};
+  spec.loads = {0.3, 0.7};
+  spec.seeds = {1, 2};
+  spec.warmup_slots = 10;
+  spec.measure_slots = 120;
+  spec.checkpoint_every = 30;
+  spec.engine = sim::Engine::kAsyncSharded;
+  spec.engine_threads = 2;
+  spec.telemetry.sample_period = 16;
+  spec.telemetry.timeseries_path = "timeseries.jsonl";
+  spec.runtime_stats_path = "runtime.jsonl";
+  const auto run = [&](const std::filesystem::path& dir, bool resume,
+                       std::int64_t stop) {
+    CampaignOptions options;
+    options.threads = 2;
+    options.out_dir = dir.string();
+    options.resume = resume;
+    options.checkpoint_stop = stop;
+    CampaignRunner runner(spec);
+    return runner.run(options);
+  };
+
+  ScratchDir fresh("ts-fresh");
+  EXPECT_EQ(run(fresh.path(), false, -1).completed_cells, 4);
+  const auto want = rows_by_cell(fresh.path() / "timeseries.jsonl");
+  ASSERT_EQ(want.size(), 4u);
+  const std::string runtime_before = read_file(fresh.path() / "runtime.jsonl");
+  ASSERT_FALSE(runtime_before.empty());
+
+  // A completed campaign run again with --resume: nothing reruns.
+  const campaign::CampaignReport again = run(fresh.path(), true, -1);
+  EXPECT_EQ(again.skipped_cells, 4);
+  EXPECT_EQ(rows_by_cell(fresh.path() / "timeseries.jsonl"), want);
+  EXPECT_EQ(read_file(fresh.path() / "runtime.jsonl").rfind(runtime_before, 0),
+            0u)
+      << "runtime rows of the first invocation were lost";
+
+  // The drill: every cell stops after its slot-60 checkpoint; then cell
+  // 0's blob is damaged and cell 1's removed, so those two rerun from
+  // slot 0 while cells 2 and 3 resume from their blobs.
+  ScratchDir drilled("ts-drill");
+  EXPECT_EQ(run(drilled.path(), false, 50).interrupted_cells, 4);
+  const std::filesystem::path blobs = drilled.path() / "checkpoints";
+  {
+    std::fstream blob(blobs / "cell-0.ckpt",
+                      std::ios::in | std::ios::out | std::ios::binary);
+    blob.seekg(0, std::ios::end);
+    const std::streamoff middle = blob.tellg() / 2;
+    blob.seekg(middle);
+    const char byte = static_cast<char>(blob.get() ^ 0x40);
+    blob.seekp(middle);
+    blob.put(byte);
+  }
+  ASSERT_TRUE(std::filesystem::remove(blobs / "cell-1.ckpt"));
+  EXPECT_EQ(run(drilled.path(), true, -1).completed_cells, 4);
+  EXPECT_EQ(rows_by_cell(drilled.path() / "timeseries.jsonl"), want);
+  EXPECT_EQ(read_file(drilled.path() / CampaignRunner::kJsonlFile),
+            read_file(fresh.path() / CampaignRunner::kJsonlFile));
+}
+
 TEST(CampaignRunnerTest, SketchLatencyModeRunsTheGrid) {
   // latency_stats: "sketch" flips every cell to the O(1)-memory sketch;
   // the grid still runs end to end and reports plausible percentiles.

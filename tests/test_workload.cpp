@@ -5,7 +5,10 @@
 //    collective schedule on the slot engines yields a simulated
 //    makespan EQUAL to the analytic slot count in the uncontended
 //    single-wavelength slot-aligned case, and >= it under contention
-//    (aloha retries, background load, timing skew);
+//    (aloha retries, background load, timing skew), and under constant
+//    tuning/propagation skew the uncontended one-to-all makespans equal
+//    literals derived by hand from the async timing rules, on serial and
+//    sharded async at every thread count;
 //  - cross-engine bit-parity: workload-driven runs are bit-identical
 //    across phased/sharded/async engines, dense/compressed route tables
 //    and thread counts {1, 2, 3, 5, 8}, for every arbitration policy,
@@ -23,9 +26,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "collectives/pops_collectives.hpp"
@@ -304,6 +309,94 @@ TEST(ScheduleWorkloadTest, ContentionOnlyRaisesTheMakespan) {
   run = run_workload(net, gossip(), skewed);
   EXPECT_GT(run.metrics.makespan_slots, bound);
   EXPECT_EQ(run.metrics.backlog, 0);
+}
+
+TEST(ScheduleWorkloadTest, SkewedUncontendedMakespanMatchesHandDerivation) {
+  // An independent reference for skewed closed loops, derived by hand
+  // from the async timing rules (T = kTicksPerSlot = 1024 ticks, guard
+  // 0, constant tuning tau <= T, propagation p). Every scheduled packet
+  // is one hop on a coupler no other packet of its wave wants:
+  //  - a packet polled at slot I enters its VOQ at tick I*T, ready at
+  //    I*T + tau, so it first wins at slot I + a, a = (tau > 0 ? 1 : 0);
+  //  - a winner of slot t lands at (t+1)*T + p, which the receive step
+  //    of boundary t + 1 + ceil(p / T) sees; the next wave is polled at
+  //    that same boundary;
+  //  - the re-tune gate (t+1)*T + tau never binds: a VOQ's next packet
+  //    enters no earlier than that landing boundary, so its own tuning
+  //    ends no earlier than the re-tune.
+  // Each wave therefore takes L = a + 1 + ceil(p / T) slots, a packet's
+  // latency is L, and K waves finish at boundary K * L: makespan and
+  // slots are K * L (POPS one-to-all K = 1, SK(4,3,2) one-to-all K = 2).
+  struct Case {
+    sim::SimTime tuning, propagation;
+    std::int64_t wave_slots;  // L
+  };
+  const Case cases[] = {
+      {1024, 0, 2},     // tau = one slot: a = 1, c = 0
+      {256, 3072, 5},   // a = 1, c = 3
+      {0, 512, 2},      // gates open: a = 0, c = 1
+      {1, 2049, 5},     // a = 1, c = 3 (one tick past two slots)
+  };
+  hypergraph::Pops pops(6, 12);
+  hypergraph::StackKautz sk(4, 3, 2);
+  const Net pops_net = make_net(pops);
+  const Net sk_net = make_net(sk);
+  struct Topology {
+    const char* name;
+    const Net& net;
+    std::function<std::unique_ptr<Workload>()> make;
+    std::int64_t waves;  // K
+  };
+  const Topology topologies[] = {
+      {"POPS(6,12)", pops_net,
+       [&] {
+         return schedule_workload(pops.stack(),
+                                  collectives::pops_one_to_all(pops, 0));
+       },
+       1},
+      {"SK(4,3,2)", sk_net,
+       [&] {
+         return schedule_workload(sk.stack(),
+                                  collectives::stack_kautz_one_to_all(sk, 0));
+       },
+       2},
+  };
+  for (const Topology& topo : topologies) {
+    for (const Case& c : cases) {
+      const std::int64_t makespan = topo.waves * c.wave_slots;
+      sim::SimConfig config;
+      config.arbitration = sim::Arbitration::kTokenRoundRobin;
+      config.timing.profile = sim::SkewProfile::kConstant;
+      config.timing.tuning_ticks = c.tuning;
+      config.timing.propagation_ticks = c.propagation;
+      std::vector<std::pair<sim::Engine, int>> runs = {
+          {sim::Engine::kAsync, 1}};
+      for (const int threads : {1, 2, 3, 5, 8}) {
+        runs.emplace_back(sim::Engine::kAsyncSharded, threads);
+      }
+      for (const auto& [engine, threads] : runs) {
+        SCOPED_TRACE(std::string(topo.name) + " tau=" +
+                     std::to_string(c.tuning) + " p=" +
+                     std::to_string(c.propagation) + " " +
+                     sim::engine_name(engine) + "/t=" +
+                     std::to_string(threads));
+        config.engine = engine;
+        config.threads = threads;
+        std::unique_ptr<Workload> load = topo.make();
+        const std::int64_t packets = load->packet_count();
+        const WorkloadRun run = run_workload(topo.net, std::move(load), config);
+        EXPECT_EQ(run.metrics.makespan_slots, makespan);
+        EXPECT_EQ(run.metrics.slots, makespan);
+        EXPECT_EQ(run.metrics.delivered_packets, packets);
+        EXPECT_EQ(run.metrics.coupler_transmissions, packets);
+        EXPECT_EQ(run.metrics.collisions, 0);
+        EXPECT_EQ(run.metrics.backlog, 0);
+        EXPECT_EQ(run.metrics.latency.max(), c.wave_slots);
+        EXPECT_DOUBLE_EQ(run.metrics.latency.mean(),
+                         static_cast<double>(c.wave_slots));
+      }
+    }
+  }
 }
 
 // ------------------------------------------------ cross-engine parity
