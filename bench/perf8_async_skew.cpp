@@ -2,8 +2,8 @@
 // slot-synchronous throughput survives realistic hardware skew? The
 // paper assumes statically-tuned transmitters and equal fiber lengths
 // (Sec. 2.2); this bench sweeps transmitter tuning latency (and one
-// per-level propagation-skew profile) on the async calendar-queue
-// engine and prints throughput/latency-vs-skew curves next to the
+// per-level propagation-skew profile) on the async slot-wheel engine
+// and prints throughput/latency-vs-skew curves next to the
 // slot-aligned baseline -- the full-scale grid is specs/async_skew.json.
 //
 // The timing axis is a campaign sweep on the paper's SK(4,3,2): the

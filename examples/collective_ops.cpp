@@ -44,9 +44,7 @@ void narrate(const otis::hypergraph::StackGraph& network,
   table.print(std::cout);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   otis::core::Args args(argc, argv,
                         {"network", "s", "d", "k", "t", "g", "root"});
   const std::string kind = args.get("network", "sk");
@@ -86,4 +84,10 @@ int main(int argc, char** argv) {
             << (otis::collectives::gossip_complete(after) ? "yes" : "NO")
             << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return otis::core::run_main(argc, argv, run);
 }

@@ -48,9 +48,7 @@ Row measure(const std::string& family, otis::designs::NetworkDesign design,
              v.ok};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   otis::core::Args args(argc, argv, {"max-n"});
   const std::int64_t max_n = args.get_int("max-n", 600);
 
@@ -125,4 +123,10 @@ int main(int argc, char** argv) {
             << " dB => max OPS degree s = "
             << otis::optics::max_stacking_factor(budget, model) << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return otis::core::run_main(argc, argv, run);
 }

@@ -17,7 +17,9 @@
 #include "routing/fault_tolerant.hpp"
 #include "topology/kautz.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   otis::core::Args args(argc, argv, {"d", "k", "faults", "trials", "seed"});
   const int d = static_cast<int>(args.get_int("d", 3));
   const int k = static_cast<int>(args.get_int("k", 3));
@@ -84,4 +86,10 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nguarantee held on every trial\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return otis::core::run_main(argc, argv, run);
 }

@@ -30,9 +30,7 @@ void print_component_line(const otis::optics::Netlist& netlist,
   std::cout << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   otis::core::Args args(argc, argv,
                         {"design", "s", "d", "k", "t", "g", "n", "full"});
   const std::string kind = args.get("design", "sk");
@@ -91,4 +89,10 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return otis::core::run_main(argc, argv, run);
 }

@@ -19,7 +19,9 @@
 #include "routing/compiled_routes.hpp"
 #include "sim/ops_network.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   otis::core::Args args(argc, argv, {"t", "g", "seed"});
   const std::int64_t t = args.get_int("t", 4);
   const std::int64_t g = args.get_int("g", 3);
@@ -82,4 +84,10 @@ int main(int argc, char** argv) {
             << " single-wavelength couplers bound the exchange; utilization"
                " near 1.0 means the schedule is optimal\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return otis::core::run_main(argc, argv, run);
 }

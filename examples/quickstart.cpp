@@ -24,7 +24,9 @@
 #include "sim/ops_network.hpp"
 #include "topology/kautz.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   otis::core::Args args(argc, argv, {"s", "d", "k", "load", "seed"});
   const std::int64_t s = args.get_int("s", 6);
   const int d = static_cast<int>(args.get_int("d", 3));
@@ -110,4 +112,10 @@ int main(int argc, char** argv) {
   table.add("packets delivered", metrics.delivered_packets);
   table.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return otis::core::run_main(argc, argv, run);
 }

@@ -115,8 +115,8 @@ std::int64_t cell_weight(const CampaignSpec& spec, const CampaignCell& cell,
   constexpr std::int64_t kSaturated = std::numeric_limits<std::int64_t>::max();
   const TopologySpec& topology = spec.topologies[cell.topology];
   const std::int64_t nodes = topology.processor_count();
-  // Skewed cells run the calendar-queue async loop, whose per-event
-  // pops, eligibility gates and tick arithmetic cost roughly 2.5x a
+  // Skewed cells run the async loop, whose landing replays, gate wheel
+  // and tick arithmetic cost roughly 2.5x a
   // phased slot; per-level skew spreads the delays further (wider
   // windows, longer in-flight tails), another half step. Slot-aligned
   // cells stay on the phased-loop baseline of 1.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
+#include <iostream>
 
 #include "core/error.hpp"
 
@@ -65,6 +67,17 @@ double Args::get_double(const std::string& name, double fallback) const {
   OTIS_REQUIRE(end != nullptr && *end == '\0' && !it->second.empty(),
                "option --" + name + " expects a number");
   return value;
+}
+
+int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    const std::string program = argc > 0 ? argv[0] : "otisnet";
+    std::cerr << program.substr(program.find_last_of('/') + 1) << ": "
+              << e.what() << "\n";
+    return 1;
+  }
 }
 
 }  // namespace otis::core

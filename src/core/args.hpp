@@ -3,7 +3,8 @@
 /// Tiny command-line option parser for the example and bench binaries.
 ///
 /// Accepts `--name=value` and `--name value` forms plus boolean flags.
-/// Unknown options raise an error so typos surface immediately.
+/// Unknown options raise an error so typos surface immediately; run_main
+/// turns that error (or any other) into a message and exit status 1.
 
 #include <cstdint>
 #include <map>
@@ -44,5 +45,11 @@ class Args {
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
 };
+
+/// Runs `body(argc, argv)` as a program's main and returns its status.
+/// An exception escaping it -- an unknown flag, a bad parameter -- is
+/// printed as "<program>: <what>" on stderr and yields status 1 instead
+/// of aborting.
+int run_main(int argc, char** argv, int (*body)(int, char**));
 
 }  // namespace otis::core

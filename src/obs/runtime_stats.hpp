@@ -71,12 +71,14 @@ struct ShardRuntime {
   std::int64_t lookahead_used = 0;
   std::int64_t lookahead_available = 0;
   /// Cross-shard mailbox pressure. Replays are counted at the consumer
-  /// (calendar push_keyed of mailed arrivals); across a completed run
+  /// (landing-wheel pushes of mailed arrivals); across a completed run
   /// total sends == total replays.
   std::int64_t mailbox_msgs_sent = 0;
   std::int64_t mailbox_bytes_sent = 0;
   std::int64_t mailbox_msgs_replayed = 0;
-  std::int64_t calendar_peak = 0;  ///< max pending calendar events seen
+  /// Max pending landings seen on the shard's landing wheel (the name
+  /// predates the wheel; the async loops once used a calendar queue).
+  std::int64_t calendar_peak = 0;
 };
 
 /// One pool worker's lifetime counters (core::WorkStealingPool).

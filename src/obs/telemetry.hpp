@@ -24,7 +24,7 @@
 ///   counters  offered, delivered, transmissions, collisions, dropped
 ///             (rows carry per-window deltas over the measured window)
 ///   gauges    backlog (queued + in flight), pending_events
-///             (async calendar-queue entries; 0 on slot engines)
+///             (async landing-wheel entries; 0 on slot engines)
 ///   histogram occupancy (couplers bucketed by queued packets across
 ///             their feed VOQs; snapshot, bounds 0,1,2,4,8,16,32,64)
 

@@ -9,7 +9,6 @@
 
 #include "core/error.hpp"
 #include "sim/arbitration.hpp"
-#include "sim/calendar_queue.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/sharding.hpp"
 
@@ -30,6 +29,45 @@ constexpr SimTime kMaxLookaheadSlots = 32;
 /// zero-delay limit this equals the phased engine's (now - created + 1).
 std::int64_t latency_slots(SimTime delivered_tick, SimTime created_tick) {
   return (delivered_tick - created_tick + kTicksPerSlot - 1) / kTicksPerSlot;
+}
+
+/// An in-flight transmission: coupler -> receivers, landing at its wheel
+/// entry's time. `measuring` is the transmission slot's flag (the phased
+/// engine accounts deliveries in the slot that carried them, so the
+/// async engine must too). 40 bytes, so a landing-wheel entry with its
+/// (time, seq) key is 56: every transmission is appended to a bucket and
+/// replayed from it, so each byte here is memory traffic per packet hop.
+struct Arrival {
+  VoqEntry entry;
+  std::int32_t coupler = 0;  ///< fits: checked at construction
+  bool measuring = false;
+};
+using Landings = LandingWheel<Arrival>;
+
+/// Checkpoint form of a pending landing, shared by both run loops:
+/// (time, seq, payload).
+void put_landing(core::BlobWriter& out, const Landings::Entry& landing) {
+  out.put_i64(landing.time);
+  out.put_u64(landing.seq);
+  out.put_i64(landing.payload.entry.id);
+  out.put_i64(landing.payload.entry.destination);
+  out.put_i64(landing.payload.entry.created);
+  out.put_i64(landing.payload.entry.hops);
+  out.put_u64(static_cast<std::uint64_t>(landing.payload.coupler));
+  out.put_u8(landing.payload.measuring ? 1 : 0);
+}
+
+Landings::Entry get_landing(core::BlobReader& in) {
+  Landings::Entry landing;
+  landing.time = in.get_i64();
+  landing.seq = in.get_u64();
+  landing.payload.entry.id = in.get_i64();
+  landing.payload.entry.destination = in.get_i64();
+  landing.payload.entry.created = in.get_i64();
+  landing.payload.entry.hops = static_cast<std::int32_t>(in.get_i64());
+  landing.payload.coupler = static_cast<std::int32_t>(in.get_u64());
+  landing.payload.measuring = in.get_u8() != 0;
+  return landing;
 }
 
 }  // namespace
@@ -61,19 +99,19 @@ AsyncEngineT<Routes>::AsyncEngineT(const hypergraph::StackGraph& network,
   feed_.build(hg, voq_base_);
   retune_.assign(static_cast<std::size_t>(voq_base_.back()), 0);
   token_.assign(static_cast<std::size_t>(couplers_), 0);
-}
 
-template <routing::RouteView Routes>
-bool AsyncEngineT<Routes>::gates_open() const {
-  if (timing_.guard() != 0) {
-    return false;
-  }
-  for (hypergraph::HyperarcId h = 0; h < couplers_; ++h) {
-    if (timing_.tuning(h) != 0) {
-      return false;
-    }
-  }
-  return true;
+  // Gates are open when no tuning latency and no guard band exist:
+  // ready and retune then never pass the arbitrating boundary.
+  open_ = timing_.max_tuning() == 0 && timing_.guard() == 0;
+  // A winner of slot t lands by boundary t + 1 + ceil(max_prop / T); a
+  // gate set at slot t opens by boundary t + 1 + ceil((max_tuning +
+  // guard) / T) (the re-tune after a transmission is the latest). The
+  // guard is below one slot, so the saturating sum cannot lose a slot.
+  landing_depth_ = slot_wheel_depth(timing_.max_propagation());
+  gate_depth_ = slot_wheel_depth(
+      std::min(timing_.max_tuning(),
+               std::numeric_limits<SimTime>::max() - timing_.guard()) +
+      timing_.guard());
 }
 
 template <routing::RouteView Routes>
@@ -88,40 +126,46 @@ SimTime AsyncEngineT<Routes>::lookahead_slots() const {
 }
 
 template <routing::RouteView Routes>
-const std::uint64_t* AsyncEngineT<Routes>::gated_request(
-    std::size_t h, SimTime slot_tick, bool open, const TimedVoqArena& voq,
-    const detail::OccupancyMasks& masks,
-    std::vector<std::uint64_t>& eligible) const {
-  const std::size_t mb = static_cast<std::size_t>(feed_.mask_base[h]);
-  const std::uint64_t* request = masks.request.data() + mb;
-  if (open) {
-    return request;
+void AsyncEngineT<Routes>::admit_head(std::size_t qi, SimTime slot,
+                                      const TimedVoqArena& voq,
+                                      detail::OccupancyMasks& masks,
+                                      EligibilityWheel& gates) const {
+  if (open_) {
+    masks.mark_nonempty(feed_, qi);
+    return;
   }
-  // Head eligible iff its own tuning finished AND the transmitter
-  // re-tuned since the queue's previous transmission, both guard ticks
-  // before the boundary.
-  const std::size_t fb = static_cast<std::size_t>(feed_.feed_base[h]);
-  const std::size_t words =
-      static_cast<std::size_t>(feed_.mask_base[h + 1]) - mb;
-  const SimTime guard = timing_.guard();
-  std::uint64_t any = 0;
-  for (std::size_t wi = 0; wi < words; ++wi) {
-    std::uint64_t bits = request[wi];
-    std::uint64_t elig = 0;
-    while (bits != 0) {
-      const std::size_t si =
-          (wi << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-      const std::uint64_t bit = bits & (~bits + 1);
-      bits &= bits - 1;
-      const std::size_t qi = static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-      if (std::max(voq.front_ready(qi), retune_[qi]) + guard <= slot_tick) {
-        elig |= bit;
-      }
+  // The head may transmit once its own tuning finished AND the
+  // transmitter re-tuned since the queue's previous transmission, both
+  // guard ticks before the boundary.
+  if (gates.admit(qi,
+                  std::max(voq.front_ready(qi), retune_[qi]) + timing_.guard(),
+                  slot)) {
+    masks.mark_nonempty(feed_, qi);
+  }
+}
+
+template <routing::RouteView Routes>
+void AsyncEngineT<Routes>::after_pop(std::size_t qi, std::size_t h,
+                                     SimTime slot, const TimedVoqArena& voq,
+                                     detail::OccupancyMasks& masks,
+                                     EligibilityWheel& gates) {
+  if (open_) {
+    // Any head may go at the next boundary: the bit stays while queued.
+    // (The re-tune lands exactly on that boundary and can never block,
+    // so it is not tracked.)
+    if (voq.empty(qi)) {
+      masks.mark_empty(feed_, qi);
     }
-    eligible[mb + wi] = elig;
-    any |= elig;
+    return;
   }
-  return any != 0 ? eligible.data() + mb : nullptr;
+  // Transmitter dead time: busy through this slot, re-tunes after. The
+  // next head's gate is therefore past the next boundary: it parks.
+  masks.mark_empty(feed_, qi);
+  retune_[qi] = ticks_from_slots(slot + 1) +
+                timing_.tuning(static_cast<hypergraph::HyperarcId>(h));
+  if (!voq.empty(qi)) {
+    admit_head(qi, slot, voq, masks, gates);
+  }
 }
 
 template <routing::RouteView Routes>
@@ -141,7 +185,6 @@ RunMetrics AsyncEngineT<Routes>::run(
   const SimTime horizon = config_.warmup_slots + config_.measure_slots;
   const SimTime drain_bound = horizon + 1'000'000;
   const SimTime warmup_tick = ticks_from_slots(config_.warmup_slots);
-  const bool open = gates_open();
   std::int64_t inflight = 0;
   std::int64_t next_packet_id = 0;
 
@@ -149,23 +192,14 @@ RunMetrics AsyncEngineT<Routes>::run(
   voq.init(static_cast<std::size_t>(voq_base_.back()));
   detail::OccupancyMasks masks;
   masks.init(feed_);
-
-  /// An in-flight transmission: coupler -> receivers, landing at the
-  /// event's calendar time. `measuring` is the transmission slot's flag
-  /// (the phased engine accounts deliveries in the slot that carried
-  /// them, so the async engine must too).
-  struct Arrival {
-    VoqEntry entry;
-    hypergraph::HyperarcId coupler = 0;
-    bool measuring = false;
-  };
-  CalendarQueue<Arrival> propagations;
+  EligibilityWheel gates(gate_depth_);
+  Landings landings(landing_depth_);
+  std::uint64_t next_seq = 0;  ///< landing tie-break: transmission order
+  SimTime now = 0;
 
   // Hoisted scratch, as in the phased engine.
   std::vector<std::size_t> winners;
   std::vector<std::size_t> scratch;
-  std::vector<std::uint64_t> eligible(
-      open ? 0 : static_cast<std::size_t>(feed_.mask_base.back()), 0);
   std::vector<SenderDemand> senders(static_cast<std::size_t>(nodes_));
   const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
   const std::int64_t queue_cap = config_.queue_capacity;
@@ -173,21 +207,21 @@ RunMetrics AsyncEngineT<Routes>::run(
 
   // Telemetry (see phased run_serial): one pointer test per slot when
   // detached, state reads only at sampling boundaries. The async
-  // engine additionally reports the calendar-queue pending count.
+  // engine additionally reports the landing wheel's pending count.
   obs::Telemetry* const tel = config_.telemetry.get();
   obs::WindowSpans windows(tel, config_.warmup_slots, horizon);
   SimTime tel_last = 0;
   const auto fill_probes = [&]() {
     detail::fill_metric_probes(*tel, metrics, inflight, feed_, voq);
     tel->probes().set(tel->engine_probes().pending_events,
-                      static_cast<std::int64_t>(propagations.pending()));
+                      static_cast<std::int64_t>(landings.pending()));
   };
 
-  /// Queues `entry` at `at`; `tick` is when it landed there (its
-  /// transmitter is tuned `tuning` ticks later). Mirrors the phased
-  /// engine's enqueue, including drop accounting. On the gates-open
-  /// fast path ready is never read, so the next-coupler lookup that
-  /// only feeds the tuning latency is skipped.
+  /// Queues `entry` at `at` in slot `now`; `tick` is when it landed
+  /// there (its transmitter is tuned `tuning` ticks later). Mirrors the
+  /// phased engine's enqueue, including drop accounting. On the
+  /// gates-open fast path ready is never read, so the next-coupler
+  /// lookup that only feeds the tuning latency is skipped.
   const auto enqueue = [&](const VoqEntry& entry, hypergraph::Node at,
                            SimTime tick, bool measuring) {
     const std::int32_t slot = routes_.next_slot(at, entry.destination);
@@ -202,39 +236,42 @@ RunMetrics AsyncEngineT<Routes>::run(
       return;
     }
     SimTime ready = tick;
-    if (!open) {
+    if (!open_) {
       ready = tick +
               timing_.tuning(routes_.next_coupler(at, entry.destination));
     }
     voq.push(qi, TimedVoqEntry{entry.id, entry.destination, entry.created,
                                entry.hops, ready});
     if (size == 0) {
-      masks.mark_nonempty(feed_, qi);
+      admit_head(qi, now, voq, masks, gates);
     }
   };
 
   /// Receive step of one landed transmission.
-  const auto receive = [&](const Arrival& arrival, SimTime tick) {
+  const auto receive = [&](const Landings::Entry& landing) {
+    const Arrival& arrival = landing.payload;
     const hypergraph::Node relay =
         routes_.relay(arrival.coupler, arrival.entry.destination);
     if (relay == arrival.entry.destination) {
       if (arrival.measuring) {
         ++metrics.delivered_packets;
         if (arrival.entry.created >= warmup_tick) {
-          metrics.latency.record(latency_slots(tick, arrival.entry.created));
+          metrics.latency.record(
+              latency_slots(landing.time, arrival.entry.created));
         }
       }
       --inflight;
     } else {
-      enqueue(arrival.entry, relay, tick, arrival.measuring);
+      enqueue(arrival.entry, relay, landing.time, arrival.measuring);
     }
   };
 
   // Checkpointing (sim/checkpoint.hpp): same "blob = state at the top
   // of a slot that will execute" contract as the phased serial loop,
-  // plus the async-only state -- re-tune deadlines, the calendar's
-  // pending arrivals (re-pushed keyed: pop order is a pure function of
-  // (time, seq)) and its auto-sequence counter.
+  // plus the async-only state -- re-tune deadlines, the pending landings
+  // (re-pushed keyed: replay order is a pure function of (time, seq))
+  // and the next landing sequence number. Gates are not stored: a
+  // restored queue's head is admitted afresh against the resumed slot.
   const std::int64_t ckpt_every = config_.checkpoint_every_slots;
   const auto save_checkpoint = [&](SimTime next_slot) {
     core::BlobWriter out;
@@ -248,19 +285,10 @@ RunMetrics AsyncEngineT<Routes>::run(
     checkpoint_put_metrics(out, metrics);
     out.put_i64_vec(coupler_success);
     checkpoint_put_voq(out, voq);
-    out.put_u64(propagations.pending());
-    propagations.for_each([&](const typename CalendarQueue<Arrival>::Entry&
-                                  event) {
-      out.put_i64(event.time);
-      out.put_u64(event.seq);
-      out.put_i64(event.payload.entry.id);
-      out.put_i64(event.payload.entry.destination);
-      out.put_i64(event.payload.entry.created);
-      out.put_i64(event.payload.entry.hops);
-      out.put_u64(static_cast<std::uint64_t>(event.payload.coupler));
-      out.put_u8(event.payload.measuring ? 1 : 0);
-    });
-    out.put_u64(propagations.next_seq());
+    out.put_u64(landings.pending());
+    landings.for_each(
+        [&](const Landings::Entry& landing) { put_landing(out, landing); });
+    out.put_u64(next_seq);
     std::vector<std::int64_t> traffic_state;
     traffic_.checkpoint_state(traffic_state);
     out.put_i64_vec(traffic_state);
@@ -285,29 +313,21 @@ RunMetrics AsyncEngineT<Routes>::run(
       checkpoint_get_voq(in, voq);
       const std::uint64_t pending = in.get_u64();
       for (std::uint64_t i = 0; i < pending; ++i) {
-        const SimTime time = in.get_i64();
-        const std::uint64_t seq = in.get_u64();
-        Arrival arrival;
-        arrival.entry.id = in.get_i64();
-        arrival.entry.destination = in.get_i64();
-        arrival.entry.created = in.get_i64();
-        arrival.entry.hops = static_cast<std::int32_t>(in.get_i64());
-        arrival.coupler = static_cast<hypergraph::HyperarcId>(in.get_u64());
-        arrival.measuring = in.get_u8() != 0;
-        propagations.push_keyed(time, seq, std::move(arrival));
+        Landings::Entry landing = get_landing(in);
+        landings.push(landing.time, landing.seq, landing.payload);
       }
-      propagations.set_next_seq(in.get_u64());
+      next_seq = in.get_u64();
       traffic_.restore_state(in.get_i64_vec());
       tel_last = checkpoint_get_telemetry(in, tel);
       for (std::size_t qi = 0; qi < voq.queue_count(); ++qi) {
         if (!voq.empty(qi)) {
-          masks.mark_nonempty(feed_, qi);
+          admit_head(qi, start_slot, voq, masks, gates);
         }
       }
     }
   }
 
-  for (SimTime now = start_slot;;) {
+  for (now = start_slot;;) {
     if (ckpt_every > 0 && now != start_slot && now % ckpt_every == 0) {
       save_checkpoint(now);
       if (config_.checkpoint_stop_at >= 0 &&
@@ -325,10 +345,7 @@ RunMetrics AsyncEngineT<Routes>::run(
     // Receive every transmission that landed by this slot boundary --
     // the phased engine's phase 3 runs before the next slot's phase 1,
     // so arrivals at exactly the boundary precede this slot's work.
-    while (!propagations.empty() && propagations.peek().time <= slot_tick) {
-      auto event = propagations.pop();
-      receive(event.payload, event.time);
-    }
+    landings.replay(now, receive);
 
     // Generate (stops at the horizon; drain only afterwards). Compact
     // batch: only the slot's actual senders come back.
@@ -349,59 +366,50 @@ RunMetrics AsyncEngineT<Routes>::run(
       }
     }
 
-    // Arbitrate: winner selection over the occupied couplers,
-    // restricted to head packets whose transmitter tuned in time (the
-    // gates-open fast path arbitrates the occupancy words directly).
+    // Arbitrate: winner selection over the couplers with a head whose
+    // transmitter tuned in time -- the request bits hold exactly those
+    // heads once this slot's parked gates open.
+    if (!open_) {
+      gates.release(now,
+                    [&](std::size_t qi) { masks.mark_nonempty(feed_, qi); });
+    }
     for (std::size_t aw = 0; aw < masks.active.size(); ++aw) {
       std::uint64_t aword = masks.active[aw];
       while (aword != 0) {
         const std::size_t h =
             (aw << 6) + static_cast<std::size_t>(std::countr_zero(aword));
         aword &= aword - 1;
-        const std::uint64_t* request =
-            gated_request(h, slot_tick, open, voq, masks, eligible);
-        if (request == nullptr) {
-          continue;
-        }
         const std::size_t fb = static_cast<std::size_t>(feed_.feed_base[h]);
         const std::size_t source_count =
             static_cast<std::size_t>(feed_.feed_base[h + 1]) - fb;
-        const std::size_t words = static_cast<std::size_t>(
-            feed_.mask_base[h + 1] - feed_.mask_base[h]);
-        const bool collided =
-            detail::pick_winners(policy, capacity, source_count, request,
-                                 words, token_[h], rng, winners, scratch);
+        const std::size_t mb = static_cast<std::size_t>(feed_.mask_base[h]);
+        const std::size_t words =
+            static_cast<std::size_t>(feed_.mask_base[h + 1]) - mb;
+        const bool collided = detail::pick_winners(
+            policy, capacity, source_count, masks.request.data() + mb, words,
+            token_[h], rng, winners, scratch);
         if (collided && measuring) {
           ++metrics.collisions;
         }
+        // Propagate: the transmission occupies slot `now` and lands
+        // prop(h) ticks after the next boundary.
+        const SimTime at =
+            slot_tick + kTicksPerSlot +
+            timing_.propagation(static_cast<hypergraph::HyperarcId>(h));
         for (std::size_t si : winners) {
           const std::size_t qi =
               static_cast<std::size_t>(feed_.feed_qi[fb + si]);
           TimedVoqEntry entry = voq.pop_front(qi);
-          if (voq.empty(qi)) {
-            masks.mark_empty(feed_, qi);
-          }
-          if (!open) {
-            // Transmitter dead time: busy through this slot, re-tunes
-            // after. (With gates open the re-tune lands exactly on the
-            // next boundary and can never block, so it is not tracked.)
-            retune_[qi] = slot_tick + kTicksPerSlot +
-                          timing_.tuning(
-                              static_cast<hypergraph::HyperarcId>(h));
-          }
+          after_pop(qi, h, now, voq, masks, gates);
           ++entry.hops;
           if (measuring) {
             ++metrics.coupler_transmissions;
             ++coupler_success[h];
           }
-          // Propagate: the transmission occupies slot `now` and lands
-          // prop(h) ticks after the next boundary.
-          propagations.push(
-              slot_tick + kTicksPerSlot +
-                  timing_.propagation(static_cast<hypergraph::HyperarcId>(h)),
-              Arrival{VoqEntry{entry.id, entry.destination, entry.created,
-                               entry.hops},
-                      static_cast<hypergraph::HyperarcId>(h), measuring});
+          landings.push(at, next_seq++,
+                        Arrival{VoqEntry{entry.id, entry.destination,
+                                         entry.created, entry.hops},
+                                static_cast<std::int32_t>(h), measuring});
         }
       }
     }
@@ -428,10 +436,7 @@ RunMetrics AsyncEngineT<Routes>::run(
 
   // Transmissions of the final slot are still in flight; land them (the
   // phased engine's last phase 3 does the same work inside the slot).
-  while (!propagations.empty()) {
-    auto event = propagations.pop();
-    receive(event.payload, event.time);
-  }
+  landings.drain(receive);
 
   metrics.backlog = inflight;
   if (tel != nullptr) {
@@ -485,7 +490,6 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
              : config_.warmup_slots + config_.measure_slots;
   const SimTime drain_bound = window_end + 1'000'000;
   const SimTime warmup_tick = ticks_from_slots(window_begin);
-  const bool open = gates_open();
   const SimTime lookahead = closed ? 1 : lookahead_slots();
   const std::size_t capacity = static_cast<std::size_t>(config_.wavelengths);
   const std::int64_t queue_cap = config_.queue_capacity;  // 0 when closed
@@ -495,33 +499,19 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
   voq.init(static_cast<std::size_t>(voq_base_.back()),
            static_cast<std::size_t>(threads));
 
-  /// 40 bytes, so a calendar entry stays 56: a wider entry grows each
-  /// shard's calendar slab past the allocator's trim threshold, and every
-  /// short closed-loop run then pays fresh page faults.
-  struct Arrival {
-    VoqEntry entry;
-    std::int32_t coupler = 0;  ///< fits: checked at construction
-    bool measuring = false;
-  };
-  /// A cross-shard arrival: the consumer replays the producer's
-  /// push_keyed at the window barrier, so the global (time, seq) pop
-  /// order is preserved across the handoff.
-  struct Mail {
-    SimTime time = 0;
-    std::uint64_t seq = 0;
-    Arrival arrival;
-  };
-
   struct Shard : detail::ShardTally {
     std::int64_t node_begin = 0, node_end = 0;
-    std::int64_t events_delta = 0;  ///< calendar pushes - pops, per fold
+    std::int64_t events_delta = 0;  ///< landing pushes - replays, per fold
     SimTime makespan_tick = 0;      ///< latest workload delivery
-    /// Request bits and coupler summary; only the bits of the shard's
-    /// own feed VOQs are ever set.
+    /// Request bits (heads that may transmit now) and coupler summary;
+    /// only the bits of the shard's own feed VOQs are ever set.
     detail::OccupancyMasks masks;
-    std::vector<std::uint64_t> eligible;  ///< gate-screened request words
-    CalendarQueue<Arrival> calendar;
-    std::vector<std::vector<Mail>> outbox;    ///< per consumer shard
+    EligibilityWheel gates;  ///< the shard's heads waiting for their gate
+    Landings landings;       ///< arrivals at the shard's nodes in flight
+    /// Cross-shard arrivals per consumer shard: the consumer re-pushes
+    /// them keyed at the window barrier, so the global (time, seq) replay
+    /// order is preserved across the handoff.
+    std::vector<std::vector<Landings::Entry>> outbox;
     std::vector<std::int64_t> delivered_ids;  ///< workload ids this slot
     std::vector<std::size_t> winners, scratch;
     /// Telemetry snapshots per window slot (cumulative deltas).
@@ -533,9 +523,8 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     shard.node_begin = plan.node_cut[static_cast<std::size_t>(w)];
     shard.node_end = plan.node_cut[static_cast<std::size_t>(w) + 1];
     shard.masks.init(feed_);
-    if (!open) {
-      shard.eligible.assign(shard.masks.request.size(), 0);
-    }
+    shard.gates = EligibilityWheel(gate_depth_);
+    shard.landings = Landings(landing_depth_);
     shard.outbox.resize(static_cast<std::size_t>(threads));
     shard.backlog_snap.assign(static_cast<std::size_t>(lookahead), 0);
     shard.events_snap.assign(static_cast<std::size_t>(lookahead), 0);
@@ -551,7 +540,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
   // Telemetry: per-shard frames for every slot of the window, folded in
   // the window barrier's completion step in slot order -- probe values
   // and timeseries bytes cannot depend on the partition. Backlog and
-  // calendar-pending are global gauges reconstructed from the window
+  // landings pending are global gauges reconstructed from the window
   // start value plus the shards' cumulative per-slot deltas.
   obs::Telemetry* const tel = config_.telemetry.get();
   obs::WindowSpans windows(tel, window_begin, window_end);
@@ -560,7 +549,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       detail::probe_frames(tel, threads * lookahead);
 
   // Runtime channel (obs/runtime_stats.hpp): per-shard barrier-wait /
-  // window-width / mailbox / calendar-depth accounting. Sends are
+  // window-width / mailbox / landing-wheel-depth accounting. Sends are
   // counted at the producer before the window barrier, replays at the
   // consumer inside its completion step (workers blocked), so across a
   // run total sends == total replays. Serial async runs report no
@@ -586,11 +575,10 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
   // all workers blocked), at the first boundary at or past each
   // checkpoint_every_slots multiple. As in the feed-local phased loop
   // the blob folds the per-shard counters and keeps the per-unit RNG
-  // streams, so it is thread-count independent; calendar entries carry
-  // their global (time, seq) keys, and on restore each one lands on the
-  // calendar of the shard owning its relay node (final deliveries touch
-  // only counters, so any calendar works for them -- shard 0 takes
-  // them).
+  // streams, so it is thread-count independent; landings carry their
+  // global (time, seq) keys, and on restore each one lands on the wheel
+  // of the shard owning its relay node (final deliveries touch only
+  // counters, so any wheel works for them -- shard 0 takes them).
   const std::int64_t ckpt_every = config_.checkpoint_every_slots;
   SimTime next_ckpt =
       ckpt_every > 0 ? ckpt_every : std::numeric_limits<SimTime>::max();
@@ -613,7 +601,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     std::uint64_t events = 0;
     for (const Shard& shard : shards) {
       shard.fold_into(fold);
-      events += shard.calendar.pending();
+      events += shard.landings.pending();
     }
     out.put_i64(fold.offered_packets);
     out.put_i64(fold.delivered_packets);
@@ -625,17 +613,8 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     checkpoint_put_voq(out, voq);
     out.put_u64(events);
     for (const Shard& shard : shards) {
-      shard.calendar.for_each(
-          [&](const typename CalendarQueue<Arrival>::Entry& event) {
-            out.put_i64(event.time);
-            out.put_u64(event.seq);
-            out.put_i64(event.payload.entry.id);
-            out.put_i64(event.payload.entry.destination);
-            out.put_i64(event.payload.entry.created);
-            out.put_i64(event.payload.entry.hops);
-            out.put_u64(static_cast<std::uint64_t>(event.payload.coupler));
-            out.put_u8(event.payload.measuring ? 1 : 0);
-          });
+      shard.landings.for_each(
+          [&](const Landings::Entry& landing) { put_landing(out, landing); });
     }
     std::vector<std::int64_t> traffic_state;
     traffic_.checkpoint_state(traffic_state);
@@ -678,34 +657,30 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       checkpoint_get_voq(in, voq);
       const std::uint64_t events = in.get_u64();
       for (std::uint64_t i = 0; i < events; ++i) {
-        const SimTime time = in.get_i64();
-        const std::uint64_t seq = in.get_u64();
-        Arrival arrival;
-        arrival.entry.id = in.get_i64();
-        arrival.entry.destination = in.get_i64();
-        arrival.entry.created = in.get_i64();
-        arrival.entry.hops = static_cast<std::int32_t>(in.get_i64());
-        arrival.coupler = static_cast<std::int32_t>(in.get_u64());
-        arrival.measuring = in.get_u8() != 0;
+        Landings::Entry landing = get_landing(in);
+        const hypergraph::Node destination =
+            landing.payload.entry.destination;
         const hypergraph::Node relay =
-            routes_.relay(arrival.coupler, arrival.entry.destination);
+            routes_.relay(landing.payload.coupler, destination);
         const std::size_t owner =
-            relay != arrival.entry.destination
+            relay != destination
                 ? static_cast<std::size_t>(
                       plan.node_owner[static_cast<std::size_t>(relay)])
                 : 0;
-        shards[owner].calendar.push_keyed(time, seq, std::move(arrival));
+        shards[owner].landings.push(landing.time, landing.seq,
+                                    landing.payload);
       }
       traffic_.restore_state(in.get_i64_vec());
       tel_last = checkpoint_get_telemetry(in, tel);
-      // The blob stores queues, not masks: each shard re-marks its own
-      // non-empty VOQs so arbitration sees the saved requests.
+      // The blob stores queues, not masks or gates: each shard admits
+      // its own non-empty VOQs' heads afresh against the resumed slot.
       for (Shard& shard : shards) {
         for (std::int64_t qi = voq_base_[static_cast<std::size_t>(
                  shard.node_begin)];
              qi < voq_base_[static_cast<std::size_t>(shard.node_end)]; ++qi) {
           if (!voq.empty(static_cast<std::size_t>(qi))) {
-            shard.masks.mark_nonempty(feed_, static_cast<std::size_t>(qi));
+            admit_head(static_cast<std::size_t>(qi), win_begin, voq,
+                       shard.masks, shard.gates);
           }
         }
       }
@@ -748,18 +723,18 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     // Drain the mailboxes while every worker is blocked: a worker-side
     // drain would race with a producer that cleared the barrier first
     // and is already appending next-window mail to the same outbox.
-    // Lookahead guarantees every mailed time is at or past the next
-    // window's boundary, so the drain order across producers is
-    // irrelevant -- pop order is a pure function of (time, seq).
+    // Lookahead guarantees every mailed landing slot is at or past the
+    // next window's first slot, so the drain order across producers is
+    // irrelevant -- replay order is a pure function of (time, seq).
     for (Shard& producer : shards) {
       for (int w = 0; w < threads; ++w) {
         auto& box = producer.outbox[static_cast<std::size_t>(w)];
         if (obs::ShardRuntime* const rt = runtime.at(w)) {
           rt->mailbox_msgs_replayed += static_cast<std::int64_t>(box.size());
         }
-        for (Mail& mail : box) {
-          shards[static_cast<std::size_t>(w)].calendar.push_keyed(
-              mail.time, mail.seq, std::move(mail.arrival));
+        for (Landings::Entry& mail : box) {
+          shards[static_cast<std::size_t>(w)].landings.push(
+              mail.time, mail.seq, std::move(mail.payload));
         }
         box.clear();
       }
@@ -834,14 +809,14 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
   std::barrier<decltype(on_window_end)> window_barrier(threads,
                                                        on_window_end);
 
-  /// Queues `entry` at node `at` of `shard` (feed-local: `at` is owned
-  /// by `shard`, so the masks it marks are its own). Closed loops have no
-  /// queue cap, so they never drop. On the gates-open fast path ready is
-  /// never read, so the next-coupler lookup that only feeds the tuning
-  /// latency is skipped.
+  /// Queues `entry` at node `at` of `shard` in slot `now` (feed-local:
+  /// `at` is owned by `shard`, so the masks and gates it touches are its
+  /// own). Closed loops have no queue cap, so they never drop. On the
+  /// gates-open fast path ready is never read, so the next-coupler lookup
+  /// that only feeds the tuning latency is skipped.
   const auto enqueue = [&](Shard& shard, const VoqEntry& entry,
-                           hypergraph::Node at, SimTime tick,
-                           bool measuring) {
+                           hypergraph::Node at, SimTime tick, bool measuring,
+                           SimTime now) {
     const std::int32_t slot = routes_.next_slot(at, entry.destination);
     const std::size_t qi = static_cast<std::size_t>(
         voq_base_[static_cast<std::size_t>(at)] + slot);
@@ -854,19 +829,23 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       return;
     }
     SimTime ready = tick;
-    if (!open) {
+    if (!open_) {
       ready = tick +
               timing_.tuning(routes_.next_coupler(at, entry.destination));
     }
     voq.push(qi, TimedVoqEntry{entry.id, entry.destination, entry.created,
                                entry.hops, ready});
     if (size == 0) {
-      shard.masks.mark_nonempty(feed_, qi);
+      admit_head(qi, now, voq, shard.masks, shard.gates);
     }
   };
 
-  const auto receive = [&](Shard& shard, const Arrival& arrival,
-                           SimTime tick) {
+  /// Receive step of one landed transmission, in the receive step of
+  /// slot `now`.
+  const auto receive = [&](Shard& shard, const Landings::Entry& landing,
+                           SimTime now) {
+    const Arrival& arrival = landing.payload;
+    const SimTime tick = landing.time;
     const hypergraph::Node relay =
         routes_.relay(arrival.coupler, arrival.entry.destination);
     if (relay == arrival.entry.destination) {
@@ -882,7 +861,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       }
       --shard.inflight_delta;
     } else {
-      enqueue(shard, arrival.entry, relay, tick, arrival.measuring);
+      enqueue(shard, arrival.entry, relay, tick, arrival.measuring, now);
     }
   };
 
@@ -890,27 +869,25 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     Shard& shard = shards[static_cast<std::size_t>(w)];
     detail::OccupancyMasks& masks = shard.masks;
     while (true) {
-      // Cross-shard arrivals were already replayed onto this shard's
-      // calendar by the window barrier's completion step.
+      // Cross-shard arrivals were already pushed onto this shard's
+      // landing wheel by the window barrier's completion step.
       if (rt != nullptr) {
         ++rt->windows;
         rt->lookahead_used += win_end - win_begin;
         rt->lookahead_available += lookahead;
         rt->calendar_peak = std::max(
             rt->calendar_peak,
-            static_cast<std::int64_t>(shard.calendar.pending()));
+            static_cast<std::int64_t>(shard.landings.pending()));
       }
       for (SimTime s = win_begin; s < win_end; ++s) {
         const SimTime slot_tick = ticks_from_slots(s);
         const bool measuring = s >= window_begin && s < window_end;
 
         // Receive every transmission that landed by this boundary.
-        while (!shard.calendar.empty() &&
-               shard.calendar.peek().time <= slot_tick) {
-          auto event = shard.calendar.pop();
+        shard.landings.replay(s, [&](const Landings::Entry& landing) {
           --shard.events_delta;
-          receive(shard, event.payload, event.time);
-        }
+          receive(shard, landing, s);
+        });
         if (closed) {
           // All of a boundary's deliveries reach the workload before it
           // is polled for this slot's injections.
@@ -920,7 +897,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
           }
         }
 
-        // Generate: the shard's slice of the eligible workload packets
+        // Generate: the shard's slice of the polled workload packets
         // in the workload's (id-sorted) order, then background traffic
         // (stops at the horizon; drain only afterwards). The id is a
         // function of (slot, source), so no counter is shared.
@@ -932,7 +909,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
           ++shard.offered;
           ++shard.inflight_delta;
           enqueue(shard, VoqEntry{packet.id, packet.destination, slot_tick, 0},
-                  packet.source, slot_tick, measuring);
+                  packet.source, slot_tick, measuring, s);
         }
         if (!load_done && s < window_end) {
           const std::size_t sender_count =
@@ -952,34 +929,34 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
             enqueue(shard,
                     VoqEntry{background_base + s * nodes_ + d.source,
                              d.destination, slot_tick, 0},
-                    d.source, slot_tick, measuring);
+                    d.source, slot_tick, measuring, s);
           }
         }
 
-        // Arbitrate the shard's occupied couplers, found by scanning its
-        // summary bitmap and screened through the eligibility gate --
-        // feed-locality makes every read shard-private.
+        // Arbitrate the shard's couplers with a head that may transmit,
+        // found by scanning its summary bitmap once this slot's parked
+        // gates open -- feed-locality makes every read shard-private.
+        if (!open_) {
+          shard.gates.release(
+              s, [&](std::size_t qi) { masks.mark_nonempty(feed_, qi); });
+        }
         for (std::size_t aw = 0; aw < masks.active.size(); ++aw) {
           std::uint64_t aword = masks.active[aw];
           while (aword != 0) {
             const std::size_t h =
                 (aw << 6) + static_cast<std::size_t>(std::countr_zero(aword));
             aword &= aword - 1;
-            const std::uint64_t* request =
-                gated_request(h, slot_tick, open, voq, masks, shard.eligible);
-            if (request == nullptr) {
-              continue;
-            }
             const std::size_t fb =
                 static_cast<std::size_t>(feed_.feed_base[h]);
             const std::size_t source_count =
                 static_cast<std::size_t>(feed_.feed_base[h + 1]) - fb;
+            const std::size_t mb =
+                static_cast<std::size_t>(feed_.mask_base[h]);
             const std::size_t words =
-                static_cast<std::size_t>(feed_.mask_base[h + 1] -
-                                         feed_.mask_base[h]);
+                static_cast<std::size_t>(feed_.mask_base[h + 1]) - mb;
             const bool collided = detail::pick_winners(
-                policy, capacity, source_count, request, words, token_[h],
-                arb_rng[h], shard.winners, shard.scratch);
+                policy, capacity, source_count, masks.request.data() + mb,
+                words, token_[h], arb_rng[h], shard.winners, shard.scratch);
             if (collided && measuring) {
               ++shard.collisions;
             }
@@ -990,22 +967,16 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
               const std::size_t qi = static_cast<std::size_t>(
                   feed_.feed_qi[fb + shard.winners[idx]]);
               TimedVoqEntry entry = voq.pop_front(qi);
-              if (voq.empty(qi)) {
-                masks.mark_empty(feed_, qi);
-              }
-              if (!open) {
-                retune_[qi] =
-                    slot_tick + kTicksPerSlot + timing_.tuning(coupler);
-              }
+              after_pop(qi, h, s, voq, masks, shard.gates);
               ++entry.hops;
               if (measuring) {
                 ++shard.transmissions;
                 ++coupler_success[h];
               }
               // The global transmission order (slot, coupler, winner) is
-              // the sequence key: per-queue pop order then matches a
-              // single auto-sequenced calendar exactly, whatever shard
-              // the event crosses into.
+              // the sequence key: per-wheel replay order then matches the
+              // serial loop's auto-sequenced wheel exactly, whatever
+              // shard the landing crosses into.
               const std::uint64_t seq =
                   (static_cast<std::uint64_t>(s) *
                        static_cast<std::uint64_t>(couplers_) +
@@ -1023,11 +994,11 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
                 shard
                     .outbox[static_cast<std::size_t>(
                         plan.node_owner[static_cast<std::size_t>(relay)])]
-                    .push_back(Mail{at, seq, std::move(arrival)});
+                    .push_back(Landings::Entry{at, seq, arrival});
               } else {
-                // Final deliveries stay on the transmitter's calendar
-                // (only counters are touched at the landing).
-                shard.calendar.push_keyed(at, seq, std::move(arrival));
+                // Final deliveries stay on the transmitter's wheel (only
+                // counters are touched at the landing).
+                shard.landings.push(at, seq, arrival);
               }
             }
           }
@@ -1056,7 +1027,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
         for (const auto& box : shard.outbox) {
           rt->mailbox_msgs_sent += static_cast<std::int64_t>(box.size());
           rt->mailbox_bytes_sent +=
-              static_cast<std::int64_t>(box.size() * sizeof(Mail));
+              static_cast<std::int64_t>(box.size() * sizeof(Landings::Entry));
         }
       }
       detail::end_phase(threads, window_barrier, on_window_end, rt);
@@ -1073,21 +1044,20 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
   }
 
   // Open loop lands everything still in flight (the last window's
-  // barrier already drained every mailbox onto the calendars). A receive
+  // barrier already drained every mailbox onto the wheels). A receive
   // only counts a delivery or re-enqueues at a relay's VOQ -- it never
-  // schedules a new event -- so a full per-shard calendar drain empties
-  // the system. Per-queue order inside each shard still follows (time,
-  // seq); the cross-shard interleaving is irrelevant because a shard's
-  // flush touches only its own VOQs and counters. Drill interruptions
-  // skip the flush: the checkpoint already captured those events, and
-  // the resumed run lands them. Closed loops leave undeliverable events
+  // schedules a new landing -- so a full per-shard wheel drain empties
+  // the system. Order inside each shard still follows (time, seq); the
+  // cross-shard interleaving is irrelevant because a shard's flush
+  // touches only its own VOQs and counters. Drill interruptions skip the
+  // flush: the checkpoint already captured those landings, and the
+  // resumed run lands them. Closed loops leave undeliverable landings
   // pending and report them as backlog.
   if (!closed && !interrupted) {
     for (Shard& shard : shards) {
-      while (!shard.calendar.empty()) {
-        auto event = shard.calendar.pop();
-        receive(shard, event.payload, event.time);
-      }
+      shard.landings.drain([&](const Landings::Entry& landing) {
+        receive(shard, landing, slot_at_or_after(landing.time));
+      });
     }
   }
 
@@ -1099,7 +1069,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
     shard.fold_into(metrics);
     inflight += shard.inflight_delta;
     makespan_tick = std::max(makespan_tick, shard.makespan_tick);
-    pending += static_cast<std::int64_t>(shard.calendar.pending());
+    pending += static_cast<std::int64_t>(shard.landings.pending());
   }
   metrics.makespan_slots = (makespan_tick + kTicksPerSlot - 1) / kTicksPerSlot;
   metrics.backlog = inflight;

@@ -20,20 +20,29 @@
 ///                 hardware is slotted), but only over head packets that
 ///                 were ready guard ticks before the boundary;
 ///   propagate  -- a winner of slot t reaches its receivers at
-///                 (t+1) * kTicksPerSlot + propagation(coupler), a
-///                 calendar-queue event (bucket width = one slot);
-///   receive    -- the arrival event delivers the packet or re-enqueues
-///                 it at the relay, where the tune step repeats.
+///                 (t+1) * kTicksPerSlot + propagation(coupler), i.e. in
+///                 the receive step of slot ceil(time / kTicksPerSlot),
+///                 at most 1 + ceil(max_propagation / kTicksPerSlot)
+///                 slots ahead: it is appended to that slot's bucket of
+///                 a landing wheel (slot_wheel.hpp);
+///   receive    -- each slot replays its landing bucket in (time, seq)
+///                 order, delivering each packet or re-enqueuing it at
+///                 the relay, where the tune step repeats.
 ///
 /// VOQs live in the timed structure-of-arrays arena (voq_arena.hpp) with
-/// the phased engines' occupancy bitmasks (occupancy.hpp), so arbitration
-/// scans only couplers with queued packets. When every tuning latency and
-/// the guard are zero the eligibility gate provably always passes
-/// (ready and retune never exceed the arbitrating boundary), so the
-/// engine skips the gate reads -- and the per-transmission retune
-/// bookkeeping -- outright and arbitrates straight off the occupancy
-/// masks; otherwise it screens the occupancy bits through the gate into
-/// a per-coupler eligibility mask.
+/// the phased engines' occupancy bitmasks (occupancy.hpp); arbitration
+/// scans only couplers with request bits set and hands their words to
+/// pick_winners directly. When every tuning latency and the guard are
+/// zero the gate provably always passes (ready and retune never exceed
+/// the arbitrating boundary), so a request bit is simply "queue
+/// non-empty" and the retune bookkeeping is skipped outright. Otherwise
+/// a request bit means "head may transmit now". A head's gate,
+/// max(ready, retune) + guard, changes only when the head does -- a push
+/// into an empty queue, a pop -- so it is computed exactly there: the
+/// bit is set at once if the gate is open by the current boundary, else
+/// the queue parks on an eligibility wheel (slot_wheel.hpp) until the
+/// first slot whose boundary opens it, at most 1 + ceil((max_tuning +
+/// guard) / kTicksPerSlot) slots ahead.
 ///
 /// In the slot-aligned limit (every delay zero) each step degenerates to
 /// its phased counterpart at the same boundary in the same order, with
@@ -43,25 +52,26 @@
 /// With nonzero skew the run remains a pure function of the seed and the
 /// timing model.
 ///
-/// The engine has two run loops. run() is the serial open loop: one
-/// calendar queue and the legacy single RNG stream, the parity reference
-/// against PhasedEngineT and the event queue (above). run_sharded() runs
-/// every other configuration as a conservative parallel discrete-event
+/// The engine has two run loops, built from the same wheel helpers. run()
+/// is the serial open loop: one landing wheel, one eligibility wheel and
+/// the legacy single RNG stream, the parity reference against
+/// PhasedEngineT and the event queue (above). run_sharded() runs every
+/// other configuration as a conservative parallel discrete-event
 /// simulation: nodes are partitioned into contiguous shard ranges whose
 /// cuts never split a coupler's feed set (so a coupler, its feed VOQs,
-/// their occupancy bits and their retune gates are all owned by one
-/// worker, and each shard keeps its own OccupancyMasks), each shard
-/// advances an independent CalendarQueue, and workers run freely inside
+/// their request bits and their gates are all owned by one worker, and
+/// each shard keeps its own OccupancyMasks and eligibility wheel), each
+/// shard replays its own landing wheel, and workers run freely inside
 /// windows of `lookahead` slots -- a transmission in slot t lands no
 /// earlier than (t+1) * kTicksPerSlot + min_propagation, so lookahead =
 /// 1 + floor(min_propagation / kTicksPerSlot) slots of any shard's
 /// future are unaffected by the others (the bounded-window barrier
 /// relaxation DARSIM documents for registered hardware). Cross-shard
-/// arrivals travel through per-pair mailboxes drained at the window
-/// barrier; every calendar push carries an explicit global sequence key
-/// ((slot * couplers + coupler) * wavelengths + winner), so per-queue
-/// pop order is a pure function of the run and results are invariant
-/// across thread counts. Open-loop Engine::kAsyncSharded runs draw from
+/// arrivals travel through per-pair mailboxes drained onto the consumer's
+/// wheel at the window barrier; every landing carries an explicit global
+/// sequence key ((slot * couplers + coupler) * wavelengths + winner), so
+/// each wheel's replay order is a pure function of the run and results
+/// are invariant across thread counts. Open-loop Engine::kAsyncSharded runs draw from
 /// the per-node/per-coupler stream universe (== the sharded phased
 /// engine when slot-aligned). A closed-loop (workload) run is the same
 /// loop with the lookahead pinned to one slot, because delivery feedback
@@ -81,6 +91,7 @@
 #include "sim/metrics.hpp"
 #include "sim/occupancy.hpp"
 #include "sim/ops_network.hpp"
+#include "sim/slot_wheel.hpp"
 #include "sim/timing_model.hpp"
 #include "sim/traffic.hpp"
 #include "sim/voq_arena.hpp"
@@ -115,22 +126,23 @@ class AsyncEngineT {
   /// conservative windows (see file comment); closed loops run it with
   /// one-slot windows.
   RunMetrics run_sharded(std::vector<std::int64_t>& coupler_success);
-  /// True when no tuning latency and no guard band exist: the
-  /// eligibility gate cannot fail, so occupancy alone decides
-  /// contention (see file comment).
-  [[nodiscard]] bool gates_open() const;
 
   /// Conservative window width in slots (>= 1; see file comment).
   [[nodiscard]] SimTime lookahead_slots() const;
 
-  /// The request words coupler `h` arbitrates over at the boundary
-  /// `slot_tick`: its occupancy words in `masks` when every gate is
-  /// `open`, else those words screened through the tuning/guard gate
-  /// into `eligible` (same layout). Null when no head may transmit.
-  [[nodiscard]] const std::uint64_t* gated_request(
-      std::size_t h, SimTime slot_tick, bool open, const TimedVoqArena& voq,
-      const detail::OccupancyMasks& masks,
-      std::vector<std::uint64_t>& eligible) const;
+  /// Gates queue `qi`'s new head in `slot` (after a push into an empty
+  /// queue, or a restore): sets its request bit in `masks` if it may
+  /// transmit at this slot's boundary, else parks the queue on `gates`
+  /// until the first slot it may (see file comment).
+  void admit_head(std::size_t qi, SimTime slot, const TimedVoqArena& voq,
+                  detail::OccupancyMasks& masks,
+                  EligibilityWheel& gates) const;
+  /// The pop side: queue `qi` just fed coupler `h` in `slot`. Clears its
+  /// request bit unless gates are open and it still has a head; with
+  /// gates closed, re-tunes the transmitter and admits the next head.
+  void after_pop(std::size_t qi, std::size_t h, SimTime slot,
+                 const TimedVoqArena& voq, detail::OccupancyMasks& masks,
+                 EligibilityWheel& gates);
 
   const hypergraph::StackGraph& network_;
   const Routes& routes_;
@@ -148,6 +160,12 @@ class AsyncEngineT {
   /// head may transmit after the previous transmission.
   std::vector<SimTime> retune_;
   std::vector<std::int64_t> token_;
+  /// No tuning latency and no guard band: every gate always passes, so
+  /// occupancy alone decides contention (see file comment).
+  bool open_ = true;
+  /// Slot-wheel depths (slot_wheel_depth) for landings and parked gates.
+  std::size_t landing_depth_ = 1;
+  std::size_t gate_depth_ = 1;
 };
 
 /// The dense-table instantiation.

@@ -1,12 +1,18 @@
 #pragma once
 /// \file calendar_queue.hpp
-/// Calendar queue (Brown 1988): the async engines' pending-event set, at
-/// O(1) amortized per operation where std::priority_queue pays O(log n)
-/// cache-missing comparisons. Events hash by time into a year of day
-/// buckets (a day starts one slot, kTicksPerSlot ticks, long); a push
-/// appends to its day and a pop walks the calendar day by day. Pop order
-/// is a pure function of (time, seq) -- the EventQueue's FIFO tie-break
-/// -- so async runs stay bit-reproducible whatever the layout does.
+/// Calendar queue (Brown 1988): a general pending-event set at O(1)
+/// amortized per operation, where std::priority_queue pays O(log n)
+/// cache-missing comparisons. It is no longer on any engine path: the
+/// async engine's delays are bounded in slots, so it runs on per-slot
+/// wheels (slot_wheel.hpp). The queue stays for its ordering tests and
+/// the micro_benchmarks [queues] bar, the reference a general event set
+/// must meet.
+///
+/// Events hash by time into a year of day buckets (a day starts one
+/// slot, kTicksPerSlot ticks, long); a push appends to its day and a pop
+/// walks the calendar day by day. Pop order is a pure function of (time,
+/// seq) -- the EventQueue's FIFO tie-break -- so runs stay
+/// bit-reproducible whatever the layout does.
 ///
 /// A day has two parts. Its first kInline entries sit in one flat slab,
 /// with fill counts and flags in byte arrays that stay in L2: a push
@@ -17,7 +23,7 @@
 /// A day borrows its segment from a pool and returns it, capacity and
 /// all, once drained, so a recurring flood reuses a warm buffer.
 ///
-/// Same-tick floods are the async engines' steady state: under a const
+/// Same-tick floods were the async engines' steady state: under a const
 /// timing profile every transmission of slot s lands on one tick, which
 /// no day split can separate, so one day absorbs a whole slot's batch.
 /// That is why overflow stays per day: a shared overflow heap would pay

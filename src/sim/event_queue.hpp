@@ -11,8 +11,8 @@
 ///
 /// This priority-queue implementation backs the seed-faithful
 /// Engine::kEventQueue loop (a tests-only fixture since the async layer
-/// landed); the asynchronous extensions themselves run on its O(1)
-/// calendar-queue rewrite, calendar_queue.hpp.
+/// landed); the asynchronous extensions themselves run on per-slot
+/// wheels, slot_wheel.hpp, since every timing delay is bounded in slots.
 
 #include <cstdint>
 #include <functional>

@@ -84,8 +84,10 @@ struct FeedIndex {
 
 /// Per-run occupancy state over a FeedIndex (see file comment). The
 /// owner calls mark_nonempty on a VOQ's 0 -> 1 size transition and
-/// mark_empty on 1 -> 0; the serial/async engines do this inline in
-/// their enqueue/pop paths.
+/// mark_empty on 1 -> 0; the engines do this inline in their enqueue/pop
+/// paths. Under tuning or guard delays the async engine narrows a bit to
+/// "head may transmit now", setting it when the head's gate opens and
+/// clearing it on every pop (async_engine.hpp).
 struct OccupancyMasks {
   std::vector<std::uint64_t> request;  ///< FeedIndex::mask_base layout
   std::vector<std::uint64_t> active;   ///< summary bitmap over couplers

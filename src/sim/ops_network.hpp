@@ -32,7 +32,7 @@
 ///    per-coupler streams, so the result is bit-identical for EVERY
 ///    thread count (though, in open loop and by design, a different --
 ///    equally valid -- universe than the serial engines);
-///  - kAsync: the calendar-queue timed-event engine (async_engine.hpp)
+///  - kAsync: the timed engine on slot wheels (async_engine.hpp)
 ///    honouring SimConfig::timing -- transmitter tuning latencies,
 ///    per-coupler propagation skew, slot guard bands in sub-slot ticks.
 ///    Bit-identical to kPhased when the timing model is slot-aligned
@@ -128,7 +128,7 @@ enum class Engine {
   kEventQueue,    ///< seed-faithful event-driven loop (tests-only fixture)
   kPhased,        ///< direct three-phase slot loop; == kEventQueue bit-for-bit
   kSharded,       ///< phased loop over N worker threads; thread-count invariant
-  kAsync,         ///< calendar-queue timed events; == kPhased when slot-aligned
+  kAsync,         ///< timed events on slot wheels; == kPhased when slot-aligned
   kAsyncSharded,  ///< conservative-PDES async over N workers; thread-count
                   ///< invariant; closed-loop kAsync is its one-shard case
 };
@@ -316,8 +316,8 @@ struct SimConfig {
   std::shared_ptr<obs::Telemetry> telemetry;
   /// Optional runtime-introspection session (obs/runtime_stats.hpp):
   /// the NONdeterministic channel -- per-shard barrier-wait/advance
-  /// time, conservative-window widths, mailbox pressure and calendar
-  /// depth, all wall-clock derived. Collected by the sharded phased
+  /// time, conservative-window widths, mailbox pressure and landing-
+  /// wheel depth, all wall-clock derived. Collected by the sharded phased
   /// and async-sharded worker loops only; the serial engines have no
   /// barriers to attribute. Null or inactive costs one pointer+flag
   /// test per run (checked once before the worker loop, never per

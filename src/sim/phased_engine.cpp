@@ -737,7 +737,10 @@ RunMetrics PhasedEngineT<Routes>::run_feed_local(
         }
       }
       shard.sent.clear();
-      detail::timed_wait(mail_barrier, rt);
+      if (threads > 1) {
+        // A lone shard mailed nothing (relays re-queued in place above).
+        detail::timed_wait(mail_barrier, rt);
+      }
 
       // Phase 3: relayed packets re-queue at their next hop, after the
       // slot's injections. Producer order is coupler order (see
@@ -773,7 +776,7 @@ RunMetrics PhasedEngineT<Routes>::run_feed_local(
         ++rt->lookahead_used;
         ++rt->lookahead_available;
       }
-      detail::timed_wait(slot_barrier, rt);
+      detail::end_phase(threads, slot_barrier, on_slot_end, rt);
       if (!running) {
         break;
       }

@@ -51,10 +51,12 @@ void TimingConfig::validate() const {
 
 void TimingModel::finalize() {
   max_propagation_ = 0;
+  max_tuning_ = 0;
   min_propagation_ = tuning_.empty() ? 0 : propagation_[0];
   slot_aligned_ = guard_ == 0;
   for (std::size_t h = 0; h < tuning_.size(); ++h) {
     max_propagation_ = std::max(max_propagation_, propagation_[h]);
+    max_tuning_ = std::max(max_tuning_, tuning_[h]);
     min_propagation_ = std::min(min_propagation_, propagation_[h]);
     if (tuning_[h] != 0 || propagation_[h] != 0) {
       slot_aligned_ = false;

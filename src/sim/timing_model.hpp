@@ -118,6 +118,9 @@ class TimingModel {
   [[nodiscard]] SimTime max_propagation() const noexcept {
     return max_propagation_;
   }
+  /// Largest tuning latency of any coupler (with the guard, the bound
+  /// on how far past a boundary a head's gate can open).
+  [[nodiscard]] SimTime max_tuning() const noexcept { return max_tuning_; }
   /// Smallest propagation delay of any coupler: the conservative-PDES
   /// lookahead floor of the sharded async engine (0 on empty models).
   [[nodiscard]] SimTime min_propagation() const noexcept {
@@ -132,6 +135,7 @@ class TimingModel {
   std::vector<SimTime> propagation_;
   SimTime guard_ = 0;
   SimTime max_propagation_ = 0;
+  SimTime max_tuning_ = 0;
   SimTime min_propagation_ = 0;
   bool slot_aligned_ = true;
 };

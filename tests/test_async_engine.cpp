@@ -4,6 +4,11 @@
 //    including same-tick floods, interleaved keyed producers, a flood
 //    day that never drains, the for_each checkpoint round trip and
 //    cached-minimum invalidation;
+//  - the engines' slot wheels: the landing wheel replays in that same
+//    reference order on floods, interleaved keyed producers and mixed-
+//    time buckets, survives the for_each checkpoint round trip and keeps
+//    later-lap entries past its depth cap; the eligibility wheel agrees
+//    with a brute-force gate screen;
 //  - TimingConfig/TimingModel compile the skew profiles correctly
 //    (constant, per-level, trace-derived);
 //  - THE parity suite: the AsyncEngine with a slot-aligned (all-zero)
@@ -18,6 +23,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -33,8 +39,10 @@
 #include "routing/compiled_routes.hpp"
 #include "routing/compressed_routes.hpp"
 #include "sim/calendar_queue.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
 #include "sim/ops_network.hpp"
+#include "sim/slot_wheel.hpp"
 #include "sim/timing_model.hpp"
 #include "sim/traffic.hpp"
 
@@ -312,6 +320,266 @@ TEST(CalendarQueueTest, EarlierPushAfterPeekInvalidatesCachedMinimum) {
     ASSERT_EQ(flood.pop().payload, i);
   }
   EXPECT_TRUE(flood.empty());
+}
+
+// ---------------------------------------------------------- slot wheels
+
+TEST(SlotWheelTest, DepthCoversTheDelayUpToTheCap) {
+  EXPECT_EQ(slot_at_or_after(0), 0);
+  EXPECT_EQ(slot_at_or_after(1), 1);
+  EXPECT_EQ(slot_at_or_after(kTicksPerSlot), 1);
+  EXPECT_EQ(slot_at_or_after(kTicksPerSlot + 1), 2);
+  EXPECT_EQ(slot_wheel_depth(0), 2u);                  // 2 + 0
+  EXPECT_EQ(slot_wheel_depth(512), 4u);                // 2 + 1 -> 4
+  EXPECT_EQ(slot_wheel_depth(3 * kTicksPerSlot), 8u);  // 2 + 3 -> 8
+  EXPECT_EQ(slot_wheel_depth(std::numeric_limits<SimTime>::max()),
+            kMaxWheelSlots);
+  EXPECT_THROW((void)slot_wheel_depth(-1), core::Error);
+  EXPECT_THROW(LandingWheel<int>(3), core::Error);
+  EXPECT_THROW(EligibilityWheel(6), core::Error);
+}
+
+/// One landing: what the wheel and the reference both record.
+struct Landed {
+  SimTime time;
+  std::uint64_t seq;
+  int payload;
+  bool operator==(const Landed&) const = default;
+};
+
+/// The engines' landing pattern, slot by slot: a same-tick flood from
+/// one producer, two keyed producers whose keys interleave but whose
+/// pushes do not (the later-keyed one pushes first), and scattered
+/// landings mixing several times -- and several push slots -- in one
+/// bucket. Keys are global and increase with the slot, as the sharded
+/// engine's (slot, coupler, winner) keys do.
+template <class Push>
+void push_landing_slot(SimTime s, core::Rng& rng, std::uint64_t& seq,
+                       int& id, Push push) {
+  const SimTime next = ticks_from_slots(s + 1);
+  const SimTime flood_at = next + 2 * kTicksPerSlot;
+  const int flood = static_cast<int>(rng.uniform(40));
+  for (int i = 0; i < flood; ++i) {
+    push(flood_at, seq++, id++);
+  }
+  const int pairs = static_cast<int>(rng.uniform(10));
+  const std::uint64_t base = seq;
+  seq += 2 * static_cast<std::uint64_t>(pairs);
+  for (int producer = 1; producer >= 0; --producer) {
+    for (int i = 0; i < pairs; ++i) {
+      push(next + kTicksPerSlot, base + 2 * static_cast<std::uint64_t>(i) +
+                                     static_cast<std::uint64_t>(producer),
+           id++);
+    }
+  }
+  const int scattered = static_cast<int>(rng.uniform(20));
+  for (int i = 0; i < scattered; ++i) {
+    push(next + static_cast<SimTime>(rng.uniform(4 * kTicksPerSlot)), seq++,
+         id++);
+  }
+}
+
+TEST(SlotWheelTest, LandingReplayMatchesEventQueueOrderOnRandomWorkload) {
+  // Reference: the priority-queue EventQueue, fed each slot's landings in
+  // key order (its tie-break is schedule order) and run to each boundary.
+  EventQueue reference;
+  std::vector<Landed> want;
+  LandingWheel<int> wheel(slot_wheel_depth(4 * kTicksPerSlot));
+  std::vector<Landed> got;
+  core::Rng rng(2024);
+  std::uint64_t seq = 0;
+  int id = 0;
+  std::size_t total = 0;
+  for (SimTime s = 0; s < 400; ++s) {
+    wheel.replay(s, [&](const LandingWheel<int>::Entry& e) {
+      got.push_back(Landed{e.time, e.seq, e.payload});
+    });
+    reference.run_until(ticks_from_slots(s));
+    ASSERT_EQ(got, want) << "slot " << s;
+    ASSERT_EQ(wheel.pending(), reference.pending());
+    std::vector<Landed> pushed;
+    push_landing_slot(s, rng, seq, id,
+                      [&](SimTime at, std::uint64_t key, int payload) {
+                        wheel.push(at, key, payload);
+                        pushed.push_back(Landed{at, key, payload});
+                      });
+    std::sort(pushed.begin(), pushed.end(),
+              [](const Landed& a, const Landed& b) { return a.seq < b.seq; });
+    for (const Landed& l : pushed) {
+      reference.schedule_at(l.time, [&want, l] { want.push_back(l); });
+    }
+    total += pushed.size();
+  }
+  wheel.drain([&](const LandingWheel<int>::Entry& e) {
+    got.push_back(Landed{e.time, e.seq, e.payload});
+  });
+  reference.run_all();
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got.size(), total);
+  EXPECT_TRUE(wheel.empty());
+}
+
+// The checkpoint path: for_each -> push into a fresh wheel must reproduce
+// every later replay exactly, including pushes made after the restore.
+TEST(SlotWheelTest, ForEachRoundTripReproducesReplayOrder) {
+  const std::size_t depth = slot_wheel_depth(4 * kTicksPerSlot);
+  LandingWheel<int> source(depth);
+  core::Rng rng(41);
+  std::uint64_t seq = 0;
+  int id = 0;
+  const auto push_source = [&](SimTime at, std::uint64_t key, int payload) {
+    source.push(at, key, payload);
+  };
+  SimTime s = 0;
+  for (; s < 50; ++s) {
+    source.replay(s, [](const LandingWheel<int>::Entry&) {});
+    push_landing_slot(s, rng, seq, id, push_source);
+  }
+  ASSERT_GT(source.pending(), 0u);
+  LandingWheel<int> restored(depth);
+  source.for_each([&](const LandingWheel<int>::Entry& e) {
+    restored.push(e.time, e.seq, e.payload);
+  });
+  ASSERT_EQ(restored.pending(), source.pending());
+  for (; s < 120; ++s) {
+    std::vector<Landed> want, got;
+    source.replay(s, [&](const LandingWheel<int>::Entry& e) {
+      want.push_back(Landed{e.time, e.seq, e.payload});
+    });
+    restored.replay(s, [&](const LandingWheel<int>::Entry& e) {
+      got.push_back(Landed{e.time, e.seq, e.payload});
+    });
+    ASSERT_EQ(got, want) << "slot " << s;
+    push_landing_slot(s, rng, seq, id,
+                      [&](SimTime at, std::uint64_t key, int payload) {
+                        source.push(at, key, payload);
+                        restored.push(at, key, payload);
+                      });
+  }
+  EXPECT_EQ(restored.pending(), source.pending());
+}
+
+// Delays are unbounded but depths are capped: an entry due more than
+// kMaxWheelSlots ahead shares its bucket with earlier laps and must wait
+// there, in order, until its own lap.
+TEST(SlotWheelTest, LaterLapsPastTheDepthCapStayUntilTheirLap) {
+  const SimTime lap = static_cast<SimTime>(kMaxWheelSlots);
+  LandingWheel<int> landings(slot_wheel_depth(10 * lap * kTicksPerSlot));
+  ASSERT_EQ(slot_wheel_depth(10 * lap * kTicksPerSlot), kMaxWheelSlots);
+  // Landing slots 5, 5 + lap, 5 + 3 lap (one bucket), pushed latest
+  // first, plus an earlier tick of slot 5 + lap pushed last.
+  landings.push(ticks_from_slots(5 + 3 * lap), 0, 3);
+  landings.push(ticks_from_slots(5 + lap), 1, 2);
+  landings.push(ticks_from_slots(5), 2, 1);
+  landings.push(ticks_from_slots(5 + lap) - 7, 3, 0);
+  EligibilityWheel gates(slot_wheel_depth(10 * lap * kTicksPerSlot));
+  EXPECT_FALSE(gates.admit(30, ticks_from_slots(5 + 2 * lap), 0));
+  EXPECT_FALSE(gates.admit(10, ticks_from_slots(5), 0));
+  EXPECT_FALSE(gates.admit(20, ticks_from_slots(4 + lap) + 1, 0));
+  EXPECT_TRUE(gates.admit(40, ticks_from_slots(2), 2));
+  EXPECT_EQ(gates.parked(), 3u);
+
+  std::vector<std::pair<SimTime, int>> landed;
+  std::vector<std::pair<SimTime, std::size_t>> released;
+  for (SimTime s = 0; s <= 5 + 3 * lap; ++s) {
+    landings.replay(s, [&](const LandingWheel<int>::Entry& e) {
+      landed.emplace_back(s, e.payload);
+    });
+    gates.release(s, [&](std::size_t q) { released.emplace_back(s, q); });
+  }
+  const std::vector<std::pair<SimTime, int>> want_landed = {
+      {5, 1}, {5 + lap, 0}, {5 + lap, 2}, {5 + 3 * lap, 3}};
+  const std::vector<std::pair<SimTime, std::size_t>> want_released = {
+      {5, 10}, {5 + lap, 20}, {5 + 2 * lap, 30}};
+  EXPECT_EQ(landed, want_landed);
+  EXPECT_EQ(released, want_released);
+  EXPECT_TRUE(landings.empty());
+  EXPECT_EQ(gates.parked(), 0u);
+}
+
+// The eligibility wheel against a brute-force gate screen: random
+// queues see pushes (landing ticks inside the slot, random tuning,
+// some past the depth cap), pops of heads the screen says may transmit
+// (re-tuning the transmitter) and a guard band. After each slot's
+// release, the request bits must equal "non-empty and max(ready,
+// retune) + guard <= boundary" for every queue.
+TEST(SlotWheelTest, EligibilityMatchesBruteForceGateScreen) {
+  constexpr std::size_t kQueues = 24;
+  constexpr SimTime kGuard = 100;
+  const auto random_tuning = [](core::Rng& rng) -> SimTime {
+    switch (rng.uniform(16)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3:
+        return 0;
+      case 4:
+      case 5:
+      case 6:
+      case 7:
+      case 8:
+        return static_cast<SimTime>(rng.uniform(kTicksPerSlot));
+      case 9:
+      case 10:
+      case 11:
+      case 12:
+      case 13:
+      case 14:
+        return static_cast<SimTime>(rng.uniform(5 * kTicksPerSlot));
+      default:  // past a 4-slot wheel, sometimes past the cap
+        return static_cast<SimTime>(
+            rng.uniform(1200 * static_cast<std::uint64_t>(kTicksPerSlot)));
+    }
+  };
+  for (const std::size_t depth : {std::size_t{4}, kMaxWheelSlots}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    core::Rng rng(7 + depth);
+    std::vector<std::vector<SimTime>> ready(kQueues);  // FIFO of ready ticks
+    std::vector<std::size_t> head(kQueues, 0);
+    std::vector<SimTime> retune(kQueues, 0);
+    std::vector<bool> request(kQueues, false);
+    EligibilityWheel gates(depth);
+    const auto gate = [&](std::size_t q) {
+      return std::max(ready[q][head[q]], retune[q]) + kGuard;
+    };
+    const auto queued = [&](std::size_t q) {
+      return ready[q].size() - head[q];
+    };
+    std::int64_t transmissions = 0;
+    for (SimTime s = 0; s < 3000; ++s) {
+      const SimTime boundary = ticks_from_slots(s);
+      // Receive/generate: pushes landing in (boundary - T, boundary].
+      const int pushes = static_cast<int>(rng.uniform(4));
+      for (int i = 0; i < pushes; ++i) {
+        const std::size_t q = rng.uniform(kQueues);
+        const SimTime tick =
+            boundary - static_cast<SimTime>(rng.uniform(kTicksPerSlot));
+        ready[q].push_back(std::max<SimTime>(0, tick) + random_tuning(rng));
+        if (queued(q) == 1 && gates.admit(q, gate(q), s)) {
+          request[q] = true;
+        }
+      }
+      gates.release(s, [&](std::size_t q) { request[q] = true; });
+      for (std::size_t q = 0; q < kQueues; ++q) {
+        const bool open = queued(q) > 0 && gate(q) <= boundary;
+        ASSERT_EQ(request[q], open) << "queue " << q << " slot " << s;
+      }
+      // Arbitrate: some requesting heads transmit.
+      for (std::size_t q = 0; q < kQueues; ++q) {
+        if (!request[q] || rng.uniform(2) == 0) {
+          continue;
+        }
+        ++head[q];
+        ++transmissions;
+        request[q] = false;
+        retune[q] = ticks_from_slots(s + 1) + random_tuning(rng);
+        if (queued(q) > 0) {
+          ASSERT_FALSE(gates.admit(q, gate(q), s));
+        }
+      }
+    }
+    EXPECT_GT(transmissions, 1000);
+  }
 }
 
 // --------------------------------------------------------- timing model

@@ -314,10 +314,10 @@ TEST(ScheduleWorkloadTest, ContentionOnlyRaisesTheMakespan) {
 TEST(ScheduleWorkloadTest, SkewedUncontendedMakespanMatchesHandDerivation) {
   // An independent reference for skewed closed loops, derived by hand
   // from the async timing rules (T = kTicksPerSlot = 1024 ticks, guard
-  // 0, constant tuning tau <= T, propagation p). Every scheduled packet
-  // is one hop on a coupler no other packet of its wave wants:
+  // 0, constant tuning tau, propagation p). Every scheduled packet is
+  // one hop on a coupler no other packet of its wave wants:
   //  - a packet polled at slot I enters its VOQ at tick I*T, ready at
-  //    I*T + tau, so it first wins at slot I + a, a = (tau > 0 ? 1 : 0);
+  //    I*T + tau, so it first wins at slot I + a, a = ceil(tau / T);
   //  - a winner of slot t lands at (t+1)*T + p, which the receive step
   //    of boundary t + 1 + ceil(p / T) sees; the next wave is polled at
   //    that same boundary;
@@ -336,6 +336,9 @@ TEST(ScheduleWorkloadTest, SkewedUncontendedMakespanMatchesHandDerivation) {
       {256, 3072, 5},   // a = 1, c = 3
       {0, 512, 2},      // gates open: a = 0, c = 1
       {1, 2049, 5},     // a = 1, c = 3 (one tick past two slots)
+      // Both delays past 1024 slots, the engine's slot-wheel depth cap:
+      // tau = 1025 T + 1 gives a = 1026, p = 1100 T + 5 gives c = 1101.
+      {1049601, 1126405, 2128},
   };
   hypergraph::Pops pops(6, 12);
   hypergraph::StackKautz sk(4, 3, 2);
@@ -371,7 +374,12 @@ TEST(ScheduleWorkloadTest, SkewedUncontendedMakespanMatchesHandDerivation) {
       config.timing.propagation_ticks = c.propagation;
       std::vector<std::pair<sim::Engine, int>> runs = {
           {sim::Engine::kAsync, 1}};
-      for (const int threads : {1, 2, 3, 5, 8}) {
+      // The thousand-slot case runs one-slot closed-loop windows; three
+      // thread counts keep it quick.
+      const std::vector<int> thread_counts =
+          c.wave_slots > 1000 ? std::vector<int>{1, 3, 8}
+                              : std::vector<int>{1, 2, 3, 5, 8};
+      for (const int threads : thread_counts) {
         runs.emplace_back(sim::Engine::kAsyncSharded, threads);
       }
       for (const auto& [engine, threads] : runs) {
