@@ -615,7 +615,7 @@ struct RouteCompileResult {
 /// group-compressed table, the VOQ arena, and the fixed ~15 KiB
 /// latency sketch -- passes with headroom, while the two O(N)-scale
 /// accidents it guards against blow straight through it: a dense route
-/// table for this topology is ~1.5 GB, and full-sample latency storage
+/// table for this topology is ~1 GB, and full-sample latency storage
 /// grows by 8 bytes per delivered packet forever.
 constexpr std::int64_t kMemoryBudgetKiB = 192 * 1024;
 /// Measurement window of the memory cell (enough deliveries that
@@ -1189,7 +1189,7 @@ int run(int argc, char** argv) {
   }
   {
     // The scale-up datapoint: SK(10,10,3) has N = 11000 processors; its
-    // dense table (~1.5 GB) is computed arithmetically, never allocated.
+    // dense table (~1 GB) is computed arithmetically, never allocated.
     otis::hypergraph::StackKautz big(10, 10, 3);
     RouteTableRow row;
     row.topology = "SK(10,10,3)";

@@ -146,6 +146,14 @@ CellResult simulate_cell(const CampaignSpec& spec,
                            std::move(traffic), config);
     result.metrics = sim.run();
   }
+  if (config.workload != nullptr) {
+    // Every engine stops a done, drained closed loop within the first
+    // bound + 1 slots and counts one slot more when the bound cuts it.
+    result.workload_completed =
+        config.workload->done() &&
+        result.metrics.slots <=
+            sim::detail::workload_slot_bound(*config.workload) + 1;
+  }
   return result;
 }
 
@@ -463,8 +471,12 @@ CampaignReport CampaignRunner::run(const CampaignOptions& options) {
         }
       }
       // A drill-interrupted cell's blob is its handoff to --resume; a
-      // completed cell's blob has served its purpose.
+      // completed cell's blob has served its purpose. Only completed
+      // rows reach the sinks, so only they are checked.
       const bool interrupted = result.metrics.interrupted;
+      if (!interrupted) {
+        check_row(result);
+      }
       if (!ckpt_path.empty() && !interrupted) {
         std::error_code ignored;
         std::filesystem::remove(ckpt_path, ignored);

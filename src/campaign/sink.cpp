@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <ios>
+#include <string>
 #include <system_error>
 
 #include "core/error.hpp"
@@ -37,6 +38,61 @@ std::string quoted(const std::string& cell) {
 }
 
 }  // namespace
+
+void check_row(const CellResult& r) {
+  const sim::RunMetrics& m = r.metrics;
+  const auto require = [&](bool ok, const char* field,
+                           const std::string& why) {
+    if (!ok) {
+      throw core::Error("campaign: cell " + r.cell.id + ": " + field + " " +
+                        why);
+    }
+  };
+  const auto fraction = [&](const char* field, double value) {
+    require(value >= 0.0 && value <= 1.0, field,
+            "= " + std::to_string(value) + " is outside [0, 1]");
+  };
+  if (m.latency.count() > 0) {
+    require(m.latency.percentile(0.0) >= 1, "latency",
+            "min " + std::to_string(m.latency.percentile(0.0)) +
+                " is below one slot");
+  }
+  const double coupler_slots =
+      static_cast<double>(r.couplers) * static_cast<double>(m.slots);
+  fraction("coupler_utilization_per_wavelength",
+           m.coupler_utilization(r.couplers) /
+               static_cast<double>(r.cell.wavelengths));
+  fraction("collisions_per_coupler_slot",
+           coupler_slots > 0.0
+               ? static_cast<double>(m.collisions) / coupler_slots
+               : 0.0);
+  const std::int64_t attempts = m.coupler_transmissions + m.collisions;
+  fraction("transmission_success",
+           attempts > 0 ? static_cast<double>(m.coupler_transmissions) /
+                              static_cast<double>(attempts)
+                        : 1.0);
+  // Throughput per node is not capped at 1: a window also delivers
+  // packets offered before it (saturated SK(6,3,2) at W = 4 reads
+  // 1.0001) and a workload may inject bursts (a POPS gossip round reads
+  // 2.0). Every engine counts a delivery in the window of the
+  // transmission that made it, so that transmission bounds it.
+  require(m.delivered_packets >= 0, "throughput_per_node",
+          "is negative (delivered " + std::to_string(m.delivered_packets) +
+              ")");
+  require(m.delivered_packets <= m.coupler_transmissions, "delivered",
+          "= " + std::to_string(m.delivered_packets) +
+              " exceeds the coupler transmissions " +
+              std::to_string(m.coupler_transmissions));
+  if (r.workload_completed) {
+    require(m.backlog == 0, "backlog",
+            "= " + std::to_string(m.backlog) +
+                " on a completed closed-loop run");
+    require(m.delivered_packets == m.offered_packets, "delivered",
+            "= " + std::to_string(m.delivered_packets) + " != offered " +
+                std::to_string(m.offered_packets) +
+                " on a completed closed-loop run");
+  }
+}
 
 JsonlSink::JsonlSink(const std::string& path, bool append)
     : out_(path, file_mode(append)) {

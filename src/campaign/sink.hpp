@@ -36,7 +36,24 @@ struct CellResult {
   std::int64_t nodes = 0;
   std::int64_t couplers = 0;
   sim::RunMetrics metrics;
+  /// Closed loop only: the run ended because the workload was done and
+  /// the network drained, not because it hit the slot bound.
+  bool workload_completed = false;
 };
+
+/// The invariants every row must hold before any sink sees it; throws
+/// core::Error naming the cell id and the field that breaks one:
+///  - latency min >= 1 slot whenever the row has latency samples;
+///  - coupler utilization per wavelength, collisions per coupler-slot
+///    and transmission success (successful over attempted
+///    coupler-slots) lie in [0, 1];
+///  - throughput per node is non-negative, and no row delivers more
+///    packets than its couplers transmitted (throughput itself may
+///    pass 1: a window delivers packets offered before it, and
+///    workloads inject bursts);
+///  - a completed closed-loop row has backlog 0 and delivered ==
+///    offered.
+void check_row(const CellResult& result);
 
 /// Consumer of campaign results. consume() is called from one thread at
 /// a time, in cell expansion order.

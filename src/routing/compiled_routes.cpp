@@ -27,9 +27,13 @@ CompiledRoutes CompiledRoutes::compile(const hypergraph::StackGraph& network,
                    routes.couplers_ <= std::numeric_limits<std::int32_t>::max(),
                "CompiledRoutes: network too large for int32 tables");
   const std::size_t n = static_cast<std::size_t>(routes.nodes_);
-  routes.next_coupler_.assign(n * n, -1);
   routes.next_slot_.assign(n * n, -1);
   routes.relay_.assign(static_cast<std::size_t>(routes.couplers_) * n, -1);
+  routes.out_begin_.resize(n);
+  for (hypergraph::Node v = 0; v < routes.nodes_; ++v) {
+    routes.out_begin_[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(
+        network.base().out_begin(network.project(v)));
+  }
 
   const auto run = [&](std::size_t count, const auto& fn) {
     if (pool != nullptr && pool->thread_count() > 1 && count > 1) {
@@ -42,7 +46,7 @@ CompiledRoutes CompiledRoutes::compile(const hypergraph::StackGraph& network,
   };
 
   // Pass 1, parallel over source rows: row v owns the pre-sized entries
-  // [v*N, (v+1)*N) of both node tables, so rows never share a write.
+  // [v*N, (v+1)*N) of the next-slot table, so rows never share a write.
   run(n, [&](std::size_t row) {
     const auto v = static_cast<hypergraph::Node>(row);
     for (hypergraph::Node dest = 0; dest < routes.nodes_; ++dest) {
@@ -54,9 +58,8 @@ CompiledRoutes CompiledRoutes::compile(const hypergraph::StackGraph& network,
       OTIS_REQUIRE(slot >= 0,
                    "CompiledRoutes: router chose a coupler the node "
                    "cannot feed");
-      const std::size_t at = routes.index(v, dest);
-      routes.next_coupler_[at] = static_cast<std::int32_t>(h);
-      routes.next_slot_[at] = static_cast<std::int32_t>(slot);
+      routes.next_slot_[routes.index(v, dest)] =
+          static_cast<std::int32_t>(slot);
     }
   });
 
@@ -73,8 +76,7 @@ CompiledRoutes CompiledRoutes::compile(const hypergraph::StackGraph& network,
       if (v == dest) {
         continue;
       }
-      const std::size_t h =
-          static_cast<std::size_t>(routes.next_coupler_[routes.index(v, dest)]);
+      const auto h = static_cast<std::size_t>(routes.next_coupler(v, dest));
       std::int32_t& relay_entry = routes.relay_[h * n + column];
       if (relay_entry < 0) {
         const hypergraph::Node relay =

@@ -4,12 +4,14 @@
 ///
 /// The simulator's inner loop used to route every packet hop through a
 /// std::function pair (RoutingHooks). CompiledRoutes bakes those
-/// callbacks once per (topology, routing-policy) pair into three dense
+/// callbacks once per (topology, routing-policy) pair into two dense
 /// int32 tables:
 ///   - next_slot(node, dest)    : the VOQ slot `node` queues into,
-///   - next_coupler(node, dest) : the coupler that slot feeds,
 ///   - relay(coupler, dest)     : the node that picks the packet up.
-/// After baking, a hop is two array loads -- no virtual dispatch, no
+/// next_coupler(node, dest) is derived: a node's out-couplers are its
+/// group's CSR arc range in slot order (StackGraph::out_slot_of), so it
+/// is the node's first out-coupler plus next_slot(node, dest). After
+/// baking, a hop is two array loads -- no virtual dispatch, no
 /// std::function, no std::find. Memory is O(N^2 + H*N) int32 entries,
 /// fine for paper-scale networks (N up to a few thousand); beyond that
 /// use the group-factored CompressedRoutes (compressed_routes.hpp),
@@ -40,7 +42,7 @@ class StackKautz;
 
 namespace otis::routing {
 
-/// Dense per-node next-coupler and per-coupler relay tables.
+/// Dense per-node next-slot and per-coupler relay tables.
 class CompiledRoutes {
  public:
   using NextCouplerFn =
@@ -53,12 +55,12 @@ class CompiledRoutes {
   /// by its node and that the relay of every chosen coupler is one of the
   /// coupler's targets.
   ///
-  /// With `pool` set, the next-coupler/next-slot rows are filled in
-  /// parallel over source nodes (row v owns [v*N, (v+1)*N)) and the
-  /// relay table in a second pass over destination columns (column dest
-  /// owns relay_[h*N + dest] for every h), so no two workers ever touch
-  /// the same entry and the result is bit-identical to serial. The
-  /// callbacks must be const-thread-safe.
+  /// With `pool` set, the next-slot rows are filled in parallel over
+  /// source nodes (row v owns [v*N, (v+1)*N)) and the relay table in a
+  /// second pass over destination columns (column dest owns
+  /// relay_[h*N + dest] for every h), so no two workers ever touch the
+  /// same entry and the result is bit-identical to serial. The callbacks
+  /// must be const-thread-safe.
   static CompiledRoutes compile(const hypergraph::StackGraph& network,
                                 const NextCouplerFn& next_coupler,
                                 const RelayFn& relay_on,
@@ -75,7 +77,8 @@ class CompiledRoutes {
   /// the diagonal node == dest).
   [[nodiscard]] hypergraph::HyperarcId next_coupler(
       hypergraph::Node node, hypergraph::Node dest) const noexcept {
-    return next_coupler_[index(node, dest)];
+    const std::int32_t slot = next_slot(node, dest);
+    return slot < 0 ? -1 : out_begin_[static_cast<std::size_t>(node)] + slot;
   }
 
   /// VOQ slot (position in out_hyperarcs(node)) of that coupler.
@@ -92,22 +95,16 @@ class CompiledRoutes {
                   static_cast<std::size_t>(dest)];
   }
 
-  /// Hints the cache toward the relay entry of (coupler, dest). The
-  /// winner loops issue these for a whole batch of winners before
-  /// walking the deliveries: the dense relay row is H*N wide, so
-  /// consecutive winners' entries share no cache line and each lookup
-  /// is otherwise a cold miss.
-  void prefetch_relay(hypergraph::HyperarcId coupler,
-                      hypergraph::Node dest) const noexcept {
-    __builtin_prefetch(relay_.data() +
-                       static_cast<std::size_t>(coupler) *
-                           static_cast<std::size_t>(nodes_) +
-                       static_cast<std::size_t>(dest));
+  /// Hints the cache toward the next-slot entry of (node, dest), the
+  /// relay hop's lookup that misses once the table outgrows the cache.
+  void prefetch_next_slot(hypergraph::Node node,
+                          hypergraph::Node dest) const noexcept {
+    __builtin_prefetch(next_slot_.data() + index(node, dest));
   }
 
   /// Bytes held by the baked tables (the O(N^2 + H*N) footprint).
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return (next_coupler_.size() + next_slot_.size() + relay_.size()) *
+    return (next_slot_.size() + relay_.size() + out_begin_.size()) *
            sizeof(std::int32_t);
   }
 
@@ -118,7 +115,7 @@ class CompiledRoutes {
                                                std::int64_t couplers) noexcept {
     const std::size_t n = static_cast<std::size_t>(nodes);
     const std::size_t h = static_cast<std::size_t>(couplers);
-    return (n * n * 2 + h * n) * sizeof(std::int32_t);
+    return (n * n + h * n + n) * sizeof(std::int32_t);
   }
 
   /// The baked tables re-exposed as callbacks, for code that still wants
@@ -138,9 +135,9 @@ class CompiledRoutes {
 
   std::int64_t nodes_ = 0;
   std::int64_t couplers_ = 0;
-  std::vector<std::int32_t> next_coupler_;  // [node][dest]
-  std::vector<std::int32_t> next_slot_;     // [node][dest]
-  std::vector<std::int32_t> relay_;         // [coupler][dest]
+  std::vector<std::int32_t> next_slot_;  // [node][dest]
+  std::vector<std::int32_t> relay_;      // [coupler][dest]
+  std::vector<std::int32_t> out_begin_;  // [node] first out-coupler
 };
 
 /// Kautz label routing on SK(s, d, k), compiled. A non-null `pool`

@@ -24,8 +24,12 @@ CompressedRoutes CompressedRoutes::layout(
                    routes.couplers_ <= std::numeric_limits<std::int32_t>::max(),
                "CompressedRoutes: network too large for int32 tables");
   const std::size_t g = static_cast<std::size_t>(routes.groups_);
-  routes.group_next_coupler_.assign(g * g, -1);
   routes.group_next_slot_.assign(g * g, -1);
+  routes.group_out_begin_.resize(g);
+  for (std::size_t x = 0; x < g; ++x) {
+    routes.group_out_begin_[x] = static_cast<std::int32_t>(
+        network.base().out_begin(static_cast<graph::Vertex>(x)));
+  }
   // Relay bases are pure topology: coupler h targets the s copies of its
   // base arc's head, so the relay for dest is head*s + (dest mod s).
   routes.relay_base_.resize(static_cast<std::size_t>(routes.couplers_));
@@ -45,7 +49,7 @@ CompressedRoutes CompressedRoutes::compile(
   CompressedRoutes routes = layout(network);
   const std::int64_t s = routes.s_;
   // One work item per source group: row gx writes exactly the pre-sized
-  // entries [gx*G, (gx+1)*G) of both tables, so rows are independent and
+  // entries [gx*G, (gx+1)*G) of the slot table, so rows are independent and
   // the parallel fill is bit-identical to the serial one.
   const auto compile_row = [&](std::size_t row) {
     const auto gx = static_cast<graph::Vertex>(row);
@@ -66,7 +70,6 @@ CompressedRoutes CompressedRoutes::compile(
       const std::size_t at = static_cast<std::size_t>(gx) *
                                  static_cast<std::size_t>(routes.groups_) +
                              static_cast<std::size_t>(gy);
-      routes.group_next_coupler_[at] = static_cast<std::int32_t>(h);
       routes.group_next_slot_[at] = static_cast<std::int32_t>(slot);
       OTIS_REQUIRE(
           relay_on(h, dest) == routes.relay(h, dest),
@@ -111,18 +114,20 @@ CompressedRoutes CompressedRoutes::compress(
       if (v == d) {
         continue;
       }
-      const std::int32_t h = static_cast<std::int32_t>(dense.next_coupler(v, d));
+      const hypergraph::HyperarcId h = dense.next_coupler(v, d);
       const std::int32_t slot = dense.next_slot(v, d);
-      const std::size_t at = routes.group_index(v, d);
-      std::int32_t& coupler_entry = routes.group_next_coupler_[at];
-      if (coupler_entry < 0) {
-        coupler_entry = h;
-        routes.group_next_slot_[at] = slot;
+      std::int32_t& slot_entry =
+          routes.group_next_slot_[routes.group_index(v, d)];
+      if (slot_entry < 0) {
+        slot_entry = slot;
       } else {
-        OTIS_REQUIRE(coupler_entry == h && routes.group_next_slot_[at] == slot,
+        OTIS_REQUIRE(slot_entry == slot,
                      "CompressedRoutes: dense table is not group-factored "
                      "(copies of the same group pick different couplers)");
       }
+      OTIS_REQUIRE(routes.next_coupler(v, d) == h,
+                   "CompressedRoutes: dense next coupler is not its "
+                   "group's out-coupler at the slot");
       OTIS_REQUIRE(dense.relay(h, d) == routes.relay(h, d),
                    "CompressedRoutes: dense relay is not index-preserving");
     }

@@ -12,11 +12,12 @@
 /// single-hop POPS.) CompiledRoutes ignores this structure and stores
 /// O(N^2 + H*N) int32 entries; CompressedRoutes stores the per-group
 /// decisions instead:
-///   - group_next_coupler(gx, gy), group_next_slot(gx, gy): O(G^2),
+///   - group_next_slot(gx, gy): O(G^2),
 ///   - relay_base(coupler) = first node of the coupler's target group:
 ///     O(H),
 /// and recovers the per-node answers with the group/copy arithmetic
-/// node -> (node / s, node % s). A hop is still two array loads plus two
+/// node -> (node / s, node % s); the next coupler is the group's first
+/// out-coupler plus the slot. A hop is still two array loads plus two
 /// integer divisions -- no virtual dispatch -- and the memory drops from
 /// O(N^2 + H*N) to O(G^2 + H), which is what makes N ~ 10^5 simulations
 /// fit in RAM (see README "Route-table memory models").
@@ -52,8 +53,8 @@ namespace otis::routing {
 
 class CompiledRoutes;
 
-/// Per-(group, group) next-coupler/next-slot tables plus per-coupler
-/// relay bases; a RouteView (see route_view.hpp).
+/// Per-(group, group) next-slot table plus per-coupler relay bases; a
+/// RouteView (see route_view.hpp).
 class CompressedRoutes {
  public:
   using NextCouplerFn =
@@ -95,7 +96,10 @@ class CompressedRoutes {
   /// decision, not the dense tables' -1 diagonal).
   [[nodiscard]] hypergraph::HyperarcId next_coupler(
       hypergraph::Node node, hypergraph::Node dest) const noexcept {
-    return group_next_coupler_[group_index(node, dest)];
+    const std::int32_t slot = next_slot(node, dest);
+    return slot < 0 ? -1
+                    : group_out_begin_[static_cast<std::size_t>(node / s_)] +
+                          slot;
   }
 
   /// VOQ slot (position in out_hyperarcs(node)) of that coupler; the
@@ -113,19 +117,17 @@ class CompressedRoutes {
     return relay_base_[static_cast<std::size_t>(coupler)] + dest % s_;
   }
 
-  /// Hints the cache toward the relay base of `coupler` (the group
-  /// tables fit in cache, so only the per-coupler base can miss; the
-  /// destination term is pure arithmetic).
-  void prefetch_relay(hypergraph::HyperarcId coupler,
-                      hypergraph::Node /*dest*/) const noexcept {
-    __builtin_prefetch(relay_base_.data() +
-                       static_cast<std::size_t>(coupler));
+  /// Hints the cache toward the next-slot entry of (node, dest): at
+  /// G ~ 10^3 the G*G table outgrows L2 (the relay bases stay cached).
+  void prefetch_next_slot(hypergraph::Node node,
+                          hypergraph::Node dest) const noexcept {
+    __builtin_prefetch(group_next_slot_.data() + group_index(node, dest));
   }
 
   /// Bytes held by the baked tables (the O(G^2 + H) footprint).
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return (group_next_coupler_.size() + group_next_slot_.size() +
-            relay_base_.size()) *
+    return (group_next_slot_.size() + relay_base_.size() +
+            group_out_begin_.size()) *
            sizeof(std::int32_t);
   }
 
@@ -149,9 +151,9 @@ class CompressedRoutes {
   std::int64_t groups_ = 0;
   std::int64_t nodes_ = 0;
   std::int64_t couplers_ = 0;
-  std::vector<std::int32_t> group_next_coupler_;  // [group][dest group]
-  std::vector<std::int32_t> group_next_slot_;     // [group][dest group]
+  std::vector<std::int32_t> group_next_slot_;  // [group][dest group]
   std::vector<std::int32_t> relay_base_;  // [coupler] target group's node 0
+  std::vector<std::int32_t> group_out_begin_;  // [group] first out-coupler
 };
 
 /// Kautz label routing on SK(s, d, k), compiled directly at group

@@ -10,12 +10,14 @@
 /// this concept, so each implementation is compiled into the slot loop
 /// with no virtual dispatch: a hop stays two array loads (dense tables,
 /// CompiledRoutes) or two loads plus the group/copy integer arithmetic
-/// (group-factored tables, CompressedRoutes).
+/// (group-factored tables, CompressedRoutes). prefetch_next_slot hints
+/// the lookup of a relay hop that misses once the table outgrows cache.
 ///
 /// Contract shared by all implementations:
 ///  - next_coupler/next_slot are defined for node != dest only (the
 ///    engines never route a delivered packet); the dense tables return
 ///    -1 on the diagonal, the compressed ones return the loop decision.
+///    next_coupler is -1 exactly where next_slot is.
 ///  - relay(coupler, dest) is defined for every (coupler, dest) pair
 ///    some route actually produces.
 
@@ -34,7 +36,7 @@ concept RouteView =
       { view.next_slot(node, node) } noexcept
           -> std::convertible_to<std::int32_t>;
       { view.relay(h, node) } noexcept -> std::convertible_to<hypergraph::Node>;
-      { view.prefetch_relay(h, node) } noexcept;
+      { view.prefetch_next_slot(node, node) } noexcept;
       { view.node_count() } noexcept -> std::convertible_to<std::int64_t>;
       { view.coupler_count() } noexcept -> std::convertible_to<std::int64_t>;
       { view.memory_bytes() } noexcept -> std::convertible_to<std::size_t>;

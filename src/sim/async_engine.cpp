@@ -34,8 +34,8 @@ std::int64_t latency_slots(SimTime delivered_tick, SimTime created_tick) {
 /// An in-flight transmission: coupler -> receivers, landing at its wheel
 /// entry's time. `measuring` is the transmission slot's flag (the phased
 /// engine accounts deliveries in the slot that carried them, so the
-/// async engine must too). 40 bytes, so a landing-wheel entry with its
-/// (time, seq) key is 56: every transmission is appended to a bucket and
+/// async engine must too). 32 bytes, so a landing-wheel entry with its
+/// (time, seq) key is 48: every transmission is appended to a bucket and
 /// replayed from it, so each byte here is memory traffic per packet hop.
 struct Arrival {
   VoqEntry entry;
@@ -62,7 +62,7 @@ Landings::Entry get_landing(core::BlobReader& in) {
   landing.time = in.get_i64();
   landing.seq = in.get_u64();
   landing.payload.entry.id = in.get_i64();
-  landing.payload.entry.destination = in.get_i64();
+  landing.payload.entry.destination = static_cast<std::int32_t>(in.get_i64());
   landing.payload.entry.created = in.get_i64();
   landing.payload.entry.hops = static_cast<std::int32_t>(in.get_i64());
   landing.payload.coupler = static_cast<std::int32_t>(in.get_u64());
@@ -240,7 +240,7 @@ RunMetrics AsyncEngineT<Routes>::run(
       ready = tick +
               timing_.tuning(routes_.next_coupler(at, entry.destination));
     }
-    voq.push(qi, TimedVoqEntry{entry.id, entry.destination, entry.created,
+    voq.push(qi, TimedVoqEntry{entry.id, entry.created, entry.destination,
                                entry.hops, ready});
     if (size == 0) {
       admit_head(qi, now, voq, masks, gates);
@@ -361,7 +361,8 @@ RunMetrics AsyncEngineT<Routes>::run(
         if (config_.recorder != nullptr) {
           config_.recorder->record(now, d.source, d.destination);
         }
-        enqueue(VoqEntry{next_packet_id++, d.destination, slot_tick, 0},
+        enqueue(VoqEntry{next_packet_id++, slot_tick,
+                         static_cast<std::int32_t>(d.destination), 0},
                 d.source, slot_tick, measuring);
       }
     }
@@ -407,8 +408,8 @@ RunMetrics AsyncEngineT<Routes>::run(
             ++coupler_success[h];
           }
           landings.push(at, next_seq++,
-                        Arrival{VoqEntry{entry.id, entry.destination,
-                                         entry.created, entry.hops},
+                        Arrival{VoqEntry{entry.id, entry.created,
+                                         entry.destination, entry.hops},
                                 static_cast<std::int32_t>(h), measuring});
         }
       }
@@ -833,7 +834,7 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
       ready = tick +
               timing_.tuning(routes_.next_coupler(at, entry.destination));
     }
-    voq.push(qi, TimedVoqEntry{entry.id, entry.destination, entry.created,
+    voq.push(qi, TimedVoqEntry{entry.id, entry.created, entry.destination,
                                entry.hops, ready});
     if (size == 0) {
       admit_head(qi, now, voq, shard.masks, shard.gates);
@@ -908,7 +909,9 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
           }
           ++shard.offered;
           ++shard.inflight_delta;
-          enqueue(shard, VoqEntry{packet.id, packet.destination, slot_tick, 0},
+          enqueue(shard,
+                  VoqEntry{packet.id, slot_tick,
+                           static_cast<std::int32_t>(packet.destination), 0},
                   packet.source, slot_tick, measuring, s);
         }
         if (!load_done && s < window_end) {
@@ -928,7 +931,8 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
             }
             enqueue(shard,
                     VoqEntry{background_base + s * nodes_ + d.source,
-                             d.destination, slot_tick, 0},
+                             slot_tick,
+                             static_cast<std::int32_t>(d.destination), 0},
                     d.source, slot_tick, measuring, s);
           }
         }
@@ -983,8 +987,8 @@ RunMetrics AsyncEngineT<Routes>::run_sharded(
                    static_cast<std::uint64_t>(h)) *
                       static_cast<std::uint64_t>(capacity) +
                   static_cast<std::uint64_t>(idx);
-              Arrival arrival{VoqEntry{entry.id, entry.destination,
-                                       entry.created, entry.hops},
+              Arrival arrival{VoqEntry{entry.id, entry.created,
+                                       entry.destination, entry.hops},
                               static_cast<std::int32_t>(h), measuring};
               ++shard.events_delta;
               const hypergraph::Node relay =

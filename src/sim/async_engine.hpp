@@ -29,7 +29,7 @@
 ///                 order, delivering each packet or re-enqueuing it at
 ///                 the relay, where the tune step repeats.
 ///
-/// VOQs live in the timed structure-of-arrays arena (voq_arena.hpp) with
+/// VOQs live in the timed record arena (voq_arena.hpp) with
 /// the phased engines' occupancy bitmasks (occupancy.hpp); arbitration
 /// scans only couplers with request bits set and hands their words to
 /// pick_winners directly. When every tuning latency and the guard are

@@ -110,7 +110,7 @@ void checkpoint_get_voq(core::BlobReader& in, VoqArenaT<Timed>& voq) {
     for (std::uint64_t i = 0; i < n; ++i) {
       typename VoqArenaT<Timed>::Entry e;
       e.id = in.get_i64();
-      e.destination = in.get_i64();
+      e.destination = static_cast<std::int32_t>(in.get_i64());
       e.created = in.get_i64();
       e.hops = static_cast<std::int32_t>(in.get_i64());
       if constexpr (Timed) {

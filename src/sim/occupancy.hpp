@@ -9,9 +9,10 @@
 ///
 ///  - FeedIndex is the immutable geometry of one network: the flattened
 ///    feed -> VOQ map (qi = voq_base[source] + slot precomputed per feed
-///    position) and the (word, bit) coordinates of each VOQ in its
-///    coupler's request mask. Each VOQ feeds exactly one coupler, so the
-///    reverse maps are well defined, and the feed positions of coupler h
+///    position) and, per VOQ, one packed 16-byte VoqFeed record holding
+///    its request word, its bit in that word and the coupler it feeds, so
+///    a mark reads one record. Each VOQ feeds exactly one coupler, so the
+///    reverse map is well defined, and the feed positions of coupler h
 ///    are bits [0, feed_count) of the words at mask_base[h].
 ///
 ///  - OccupancyMasks is the per-run mutable state: one request bit per
@@ -35,15 +36,21 @@
 
 namespace otis::sim::detail {
 
+/// Where a VOQ's request bit lives; every mark reads all three fields.
+struct VoqFeed {
+  std::int64_t word = 0;     ///< request word (FeedIndex::mask_base layout)
+  std::int32_t coupler = 0;  ///< fed coupler (route views cap H at int32)
+  std::uint32_t bit = 0;     ///< bit within the word
+};
+static_assert(sizeof(VoqFeed) == 16);
+
 /// Immutable per-network feed geometry (see file comment). Build once
 /// per engine; shared by every run mode.
 struct FeedIndex {
   std::vector<std::int64_t> feed_base;  ///< per coupler: feed_qi offset (+1)
   std::vector<std::int64_t> feed_qi;    ///< VOQ index per feed position
   std::vector<std::int64_t> mask_base;  ///< per coupler: first word (+1)
-  std::vector<std::int64_t> voq_word;   ///< per VOQ: its request word
-  std::vector<std::uint8_t> voq_bit;    ///< per VOQ: bit within the word
-  std::vector<std::int64_t> voq_coupler;  ///< per VOQ: the coupler it feeds
+  std::vector<VoqFeed> voq_feed;        ///< per VOQ: its request position
 
   void build(const hypergraph::DirectedHypergraph& hg,
              const std::vector<std::int64_t>& voq_base) {
@@ -58,9 +65,7 @@ struct FeedIndex {
           mask_base[static_cast<std::size_t>(h)] + (count + 63) / 64;
     }
     feed_qi.assign(static_cast<std::size_t>(feed_base.back()), 0);
-    voq_word.assign(static_cast<std::size_t>(voq_base.back()), 0);
-    voq_bit.assign(static_cast<std::size_t>(voq_base.back()), 0);
-    voq_coupler.assign(static_cast<std::size_t>(voq_base.back()), 0);
+    voq_feed.assign(static_cast<std::size_t>(voq_base.back()), VoqFeed{});
     for (hypergraph::HyperarcId h = 0; h < couplers; ++h) {
       const hypergraph::CouplerFeed feed = hg.coupler_feed(h);
       for (std::int64_t si = 0; si < feed.count; ++si) {
@@ -70,9 +75,9 @@ struct FeedIndex {
         feed_qi[static_cast<std::size_t>(
             feed_base[static_cast<std::size_t>(h)] + si)] =
             static_cast<std::int64_t>(qi);
-        voq_word[qi] = mask_base[static_cast<std::size_t>(h)] + si / 64;
-        voq_bit[qi] = static_cast<std::uint8_t>(si % 64);
-        voq_coupler[qi] = h;
+        voq_feed[qi] = VoqFeed{mask_base[static_cast<std::size_t>(h)] + si / 64,
+                               static_cast<std::int32_t>(h),
+                               static_cast<std::uint32_t>(si % 64)};
       }
     }
   }
@@ -98,25 +103,23 @@ struct OccupancyMasks {
   }
 
   void mark_nonempty(const FeedIndex& fi, std::size_t qi) {
-    request[static_cast<std::size_t>(fi.voq_word[qi])] |=
-        std::uint64_t{1} << fi.voq_bit[qi];
-    const std::uint64_t h = static_cast<std::uint64_t>(fi.voq_coupler[qi]);
+    const VoqFeed f = fi.voq_feed[qi];
+    request[static_cast<std::size_t>(f.word)] |= std::uint64_t{1} << f.bit;
+    const auto h = static_cast<std::uint32_t>(f.coupler);
     active[h >> 6] |= std::uint64_t{1} << (h & 63);
   }
 
   void mark_empty(const FeedIndex& fi, std::size_t qi) {
-    request[static_cast<std::size_t>(fi.voq_word[qi])] &=
-        ~(std::uint64_t{1} << fi.voq_bit[qi]);
-    const std::int64_t h = fi.voq_coupler[qi];
+    const VoqFeed f = fi.voq_feed[qi];
+    request[static_cast<std::size_t>(f.word)] &= ~(std::uint64_t{1} << f.bit);
+    const auto h = static_cast<std::size_t>(f.coupler);
     // Clear the summary bit only once every request word went dark.
-    for (std::int64_t w = fi.mask_base[static_cast<std::size_t>(h)];
-         w < fi.mask_base[static_cast<std::size_t>(h) + 1]; ++w) {
+    for (std::int64_t w = fi.mask_base[h]; w < fi.mask_base[h + 1]; ++w) {
       if (request[static_cast<std::size_t>(w)] != 0) {
         return;
       }
     }
-    active[static_cast<std::uint64_t>(h) >> 6] &=
-        ~(std::uint64_t{1} << (static_cast<std::uint64_t>(h) & 63));
+    active[h >> 6] &= ~(std::uint64_t{1} << (h & 63));
   }
 };
 

@@ -22,7 +22,7 @@
 ///    EventQueue; kept as the seed-faithful reference implementation
 ///    (tests-only fixture since the async layer landed);
 ///  - kPhased: a direct three-phase slot loop (generate / arbitrate /
-///    receive) over a structure-of-arrays VOQ arena with per-coupler
+///    receive) over a record-per-entry VOQ arena with per-coupler
 ///    occupancy bitmasks and CompiledRoutes tables. Bit-identical to
 ///    kEventQueue for every seed, several times faster;
 ///  - kSharded: the phased slot model on the feed-local shard plan
@@ -398,7 +398,7 @@ class OpsNetworkSim {
 
   /// Virtual output queues: per node, per out-coupler slot (indexed by
   /// position of the coupler in out_hyperarcs(node)). Event-queue engine
-  /// only; the phased engines use a SoA arena (voq_arena.hpp) internally.
+  /// only; the slot engines use a record arena (voq_arena.hpp) internally.
   std::vector<std::vector<std::deque<Packet>>> voq_;
   std::vector<std::int64_t> token_;  ///< per coupler, round-robin cursor
   std::vector<std::int64_t> coupler_success_;

@@ -23,9 +23,9 @@ using detail::coupler_streams;
 using detail::node_streams;
 using detail::workload_slot_bound;
 
-/// How far ahead the routing walk prefetches relay entries. Consecutive
-/// winners land on scattered relay-table rows, so a short look-ahead
-/// hides the load latency without thrashing the prefetch queue.
+/// How far ahead the routing walk prefetches a relay's next-slot entry:
+/// winners land on scattered table rows, and a short look-ahead hides
+/// the load latency without thrashing the prefetch queue.
 constexpr std::size_t kRelayPrefetchAhead = 8;
 
 }  // namespace
@@ -210,8 +210,9 @@ RunMetrics PhasedEngineT<Routes>::run_serial(
         if (config_.recorder != nullptr) {
           config_.recorder->record(now, d.source, d.destination);
         }
-        enqueue(VoqEntry{next_packet_id++, d.destination, now, 0}, d.source,
-                measuring);
+        enqueue(VoqEntry{next_packet_id++, now,
+                         static_cast<std::int32_t>(d.destination), 0},
+                d.source, measuring);
       }
     }
     if (breakdown != nullptr) {
@@ -270,17 +271,6 @@ RunMetrics PhasedEngineT<Routes>::run_serial(
             token_[h], rng, winners, scratch);
         if (collided && measuring) {
           ++metrics.collisions;
-        }
-        if (winners.size() > 1) {
-          // Warm the relay entries for the whole winner batch before the
-          // delivery walk: on dense tables consecutive winners' entries
-          // share no cache line, so each lookup is otherwise a cold miss.
-          for (std::size_t si : winners) {
-            const std::size_t qi =
-                static_cast<std::size_t>(feed_.feed_qi[fb + si]);
-            routes_.prefetch_relay(static_cast<hypergraph::HyperarcId>(h),
-                                   voq.front(qi).destination);
-          }
         }
         for (std::size_t si : winners) {
           transmit(si);
@@ -629,7 +619,9 @@ RunMetrics PhasedEngineT<Routes>::run_feed_local(
         }
         ++shard.offered;
         ++shard.inflight_delta;
-        enqueue(shard, VoqEntry{packet.id, packet.destination, slot, 0},
+        enqueue(shard,
+                VoqEntry{packet.id, slot,
+                         static_cast<std::int32_t>(packet.destination), 0},
                 packet.source, measuring);
       }
       // Phase 1b: background traffic over the shard's nodes (load 0
@@ -651,8 +643,8 @@ RunMetrics PhasedEngineT<Routes>::run_feed_local(
             config_.recorder->record(slot, d.source, d.destination);
           }
           enqueue(shard,
-                  VoqEntry{background_base + slot * nodes_ + d.source,
-                           d.destination, slot, 0},
+                  VoqEntry{background_base + slot * nodes_ + d.source, slot,
+                           static_cast<std::int32_t>(d.destination), 0},
                   d.source, measuring);
         }
       }
@@ -696,14 +688,17 @@ RunMetrics PhasedEngineT<Routes>::run_feed_local(
         }
       }
 
-      // Routing: each winner's relay is looked up once, prefetched a few
-      // entries ahead (consecutive winners' table rows share no cache
-      // line). Final deliveries complete here and feed back at the slot
-      // end; relays go to the inbox of the shard owning the relay node.
+      // Routing: each winner's relay is looked up once. The relay's
+      // next-slot entry -- the lookup its enqueue misses on once the
+      // table outgrows the cache -- is prefetched a few winners ahead.
+      // Final deliveries complete here and feed back at the slot end;
+      // relays go to the inbox of the shard owning the relay node.
       for (std::size_t i = 0; i < shard.sent.size(); ++i) {
         if (i + kRelayPrefetchAhead < shard.sent.size()) {
           const Winner& ahead = shard.sent[i + kRelayPrefetchAhead];
-          routes_.prefetch_relay(ahead.coupler, ahead.entry.destination);
+          routes_.prefetch_next_slot(
+              routes_.relay(ahead.coupler, ahead.entry.destination),
+              ahead.entry.destination);
         }
         const Winner& win = shard.sent[i];
         const hypergraph::Node relay =

@@ -12,15 +12,16 @@
 ///                   count-trailing-zeros scan over the occupancy
 ///                   summary bitmap) pick winners straight off their
 ///                   request-mask words (sim/arbitration.hpp) and pop
-///                   them from the SoA VOQ arena;
+///                   them from the VOQ arena;
 ///   3. receive   -- every winner is consumed by its relay: counted as
 ///                   delivered at the destination or re-enqueued onward.
 ///
-/// VOQs live in a structure-of-arrays arena (voq_arena.hpp): one
-/// contiguous array per packet field plus flat head/size cursors, so
-/// the loops touch dense cache lines instead of chasing per-queue ring
-/// buffers. Per-coupler occupancy bitmasks (occupancy.hpp), maintained
-/// on VOQ push/pop, let arbitration skip empty couplers outright.
+/// VOQs live in a record arena (voq_arena.hpp): 24-byte entry records
+/// plus a packed header per queue, so a push or pop touches the header
+/// and one record instead of chasing per-queue ring buffers.
+/// Per-coupler occupancy bitmasks (occupancy.hpp), maintained on VOQ
+/// push/pop through one packed feed record per VOQ, let arbitration
+/// skip empty couplers outright.
 ///
 /// The engine is templated over the RouteView (route_view.hpp): the
 /// dense CompiledRoutes and the group-factored CompressedRoutes compile

@@ -1,31 +1,29 @@
 #pragma once
 /// \file voq_arena.hpp
-/// Structure-of-arrays arena backing the slot engines' virtual output
-/// queues (replaces the per-queue RingBuffer<Packet> vector).
+/// Record arena backing the slot engines' virtual output queues
+/// (replaces the per-queue RingBuffer<Packet> vector).
 ///
-/// The phased/async hot loops touch thousands of VOQs per slot but only
-/// ever read one field at a time (a head destination for routing, a head
-/// ready-tick for the async gate, a size for the capacity check). An
-/// array-of-structs layout drags the whole Packet through the cache for
-/// each of those reads; the arena instead keeps one contiguous array per
-/// entry field, plus a packed 24-byte header per queue (segment base,
-/// head, length, capacity, pool) so a push or pop touches exactly one
-/// header cache line instead of one per index array.
+/// Every queue operation on the hot path moves a whole entry: a push
+/// writes one, pop_front and front copy one. The arena therefore stores
+/// entry records (VoqEntry is 24 bytes, TimedVoqEntry 32), so an
+/// operation touches the queue's header line plus the one line its
+/// record spans (rarely two) -- never one line per field. The per-queue
+/// header (segment pointer, head, length, capacity, pool) is packed
+/// into 24 bytes for the same reason.
 ///
-/// Queues own power-of-two segments of the pool. A full queue gets a
-/// fresh segment of twice the size at the pool end and abandons the old
-/// one; as with per-queue doubling vectors, abandoned space is bounded
-/// by the live capacity (geometric series), and indices -- not pointers
-/// -- reference entries, so growth never invalidates anything.
+/// Queues own power-of-two segments carved from their pool's blocks. A
+/// full queue gets a fresh segment of twice the size and abandons the
+/// old one; as with per-queue doubling vectors, abandoned space is
+/// bounded by the live capacity (geometric series). Blocks are never
+/// reallocated, so a segment pointer stays valid until init().
 ///
 /// Sharded runs hand every shard its own pool (init(queues, shards) +
 /// set_pool): pushes -- the only operation that can grow a pool -- are
 /// always issued by the owning shard, while the barrier-separated
-/// arbitration phase only pops (head/size updates, no reallocation), so
-/// concurrent phases never race on a pool's backing vectors. Serial
-/// engines use a single pool and pay one extra (always-zero, cached)
-/// pool-id load per access.
+/// arbitration phase only pops (head/size updates, no allocation), so
+/// concurrent phases never race on a pool's blocks.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -35,23 +33,27 @@ namespace otis::sim {
 
 /// One queued packet, minus the source node: once a packet sits in a
 /// VOQ its source is never read again (relays are resolved from the
-/// coupler), so the arena does not store it.
+/// coupler), so the arena does not store it. The destination fits in
+/// int32 because both route views refuse larger networks; packed beside
+/// hops, it keeps the record at 24 bytes.
 struct VoqEntry {
   std::int64_t id = 0;
-  std::int64_t destination = 0;
   std::int64_t created = 0;  ///< slot (phased) or tick (async)
+  std::int32_t destination = 0;
   std::int32_t hops = 0;
 };
+static_assert(sizeof(VoqEntry) == 24);
 
 /// VoqEntry plus the tick the transmitter finishes tuning (async
-/// engine's eligibility gate).
+/// engine's eligibility gate): 32 bytes, two records per cache line.
 struct TimedVoqEntry {
   std::int64_t id = 0;
-  std::int64_t destination = 0;
   std::int64_t created = 0;
+  std::int32_t destination = 0;
   std::int32_t hops = 0;
   std::int64_t ready = 0;
 };
+static_assert(sizeof(TimedVoqEntry) == 32);
 
 template <bool Timed>
 class VoqArenaT {
@@ -60,6 +62,11 @@ class VoqArenaT {
 
   /// Initial per-queue segment capacity (matches the old RingBuffer).
   static constexpr std::uint32_t kInitialCapacity = 8;
+
+  /// Headers point into the pools' blocks, so a copy would alias them.
+  VoqArenaT() = default;
+  VoqArenaT(const VoqArenaT&) = delete;
+  VoqArenaT& operator=(const VoqArenaT&) = delete;
 
   /// Re-initializes to `queue_count` empty queues spread over
   /// `pool_count` independently growable pools. Every queue starts in
@@ -89,48 +96,29 @@ class VoqArenaT {
     if (ref.len == ref.cap) {
       grow(ref);
     }
-    Pool& pool = pools_[ref.pool];
-    const std::size_t at =
-        ref.base + ((ref.head + ref.len) & (ref.cap - 1));
-    pool.id[at] = e.id;
-    pool.destination[at] = e.destination;
-    pool.created[at] = e.created;
-    pool.hops[at] = e.hops;
-    if constexpr (Timed) {
-      pool.ready[at] = e.ready;
-    }
+    ref.base[(ref.head + ref.len) & (ref.cap - 1)] = e;
     ++ref.len;
   }
 
   /// Copy of the head entry; the queue must be non-empty.
   [[nodiscard]] Entry front(std::size_t q) const {
     const Header& ref = queues_[q];
-    const Pool& pool = pools_[ref.pool];
-    const std::size_t at = ref.base + ref.head;
-    Entry e;
-    e.id = pool.id[at];
-    e.destination = pool.destination[at];
-    e.created = pool.created[at];
-    e.hops = pool.hops[at];
-    if constexpr (Timed) {
-      e.ready = pool.ready[at];
-    }
-    return e;
+    return ref.base[ref.head];
   }
 
-  /// Ready tick of the head entry without copying the rest (the async
-  /// eligibility gate reads only this field).
+  /// Ready tick of the head entry (the async eligibility gate reads only
+  /// this field).
   [[nodiscard]] std::int64_t front_ready(std::size_t q) const
     requires Timed
   {
     const Header& ref = queues_[q];
-    return pools_[ref.pool].ready[ref.base + ref.head];
+    return ref.base[ref.head].ready;
   }
 
   /// Removes and returns the head entry; the queue must be non-empty.
   Entry pop_front(std::size_t q) {
-    Entry e = front(q);
     Header& ref = queues_[q];
+    const Entry e = ref.base[ref.head];
     ref.head = (ref.head + 1) & (ref.cap - 1);
     --ref.len;
     return e;
@@ -142,18 +130,8 @@ class VoqArenaT {
   template <typename Fn>
   void for_each_entry(std::size_t q, Fn&& fn) const {
     const Header& ref = queues_[q];
-    const Pool& pool = pools_[ref.pool];
     for (std::uint32_t i = 0; i < ref.len; ++i) {
-      const std::size_t at = ref.base + ((ref.head + i) & (ref.cap - 1));
-      Entry e;
-      e.id = pool.id[at];
-      e.destination = pool.destination[at];
-      e.created = pool.created[at];
-      e.hops = pool.hops[at];
-      if constexpr (Timed) {
-        e.ready = pool.ready[at];
-      }
-      fn(e);
+      fn(ref.base[(ref.head + i) & (ref.cap - 1)]);
     }
   }
 
@@ -161,46 +139,48 @@ class VoqArenaT {
   /// Per-queue metadata, packed so every queue operation touches one
   /// header cache line (three headers per 64-byte line).
   struct Header {
-    std::size_t base = 0;    ///< segment start in its pool
+    Entry* base = nullptr;   ///< segment start, in a block of its pool
     std::uint32_t head = 0;  ///< head offset (masked by cap - 1)
     std::uint32_t len = 0;   ///< live entry count
     std::uint32_t cap = 0;   ///< segment capacity (power of two)
     std::uint32_t pool = 0;  ///< owning pool index
   };
 
+  /// Blocks of records that are never reallocated, so segment pointers
+  /// stay valid. (One doubling vector per pool never fits the buffers
+  /// it freed; a 108-cell campaign's heap kept them, +1/3 peak RSS.)
   struct Pool {
-    std::vector<std::int64_t> id;
-    std::vector<std::int64_t> destination;
-    std::vector<std::int64_t> created;
-    std::vector<std::int32_t> hops;
-    std::vector<std::int64_t> ready;  ///< allocated only when Timed
+    std::vector<std::vector<Entry>> blocks;
+    std::size_t total = 0;  ///< records reserved over all blocks
   };
 
+  /// Smallest block, in records.
+  static constexpr std::size_t kMinBlock = 4096;
+
+  /// `count` fresh records from `pool`: the tail of its last block, or a
+  /// new block at least as large as all earlier ones together, so a pool
+  /// holds O(log) blocks.
+  static Entry* carve(Pool& pool, std::uint32_t count) {
+    if (pool.blocks.empty() || pool.blocks.back().size() + count >
+                                   pool.blocks.back().capacity()) {
+      pool.blocks.emplace_back().reserve(
+          std::max({std::size_t{count}, pool.total, kMinBlock}));
+      pool.total += pool.blocks.back().capacity();
+    }
+    std::vector<Entry>& block = pool.blocks.back();
+    block.resize(block.size() + count);
+    return block.data() + block.size() - count;
+  }
+
   void grow(Header& ref) {
-    Pool& pool = pools_[ref.pool];
     const std::uint32_t old_cap = ref.cap;
     const std::uint32_t new_cap =
         old_cap == 0 ? kInitialCapacity : old_cap * 2;
-    const std::size_t nb = pool.id.size();
-    pool.id.resize(nb + new_cap);
-    pool.destination.resize(nb + new_cap);
-    pool.created.resize(nb + new_cap);
-    pool.hops.resize(nb + new_cap);
-    if constexpr (Timed) {
-      pool.ready.resize(nb + new_cap);
-    }
-    const std::size_t ob = ref.base;
+    Entry* segment = carve(pools_[ref.pool], new_cap);
     for (std::uint32_t i = 0; i < ref.len; ++i) {
-      const std::size_t from = ob + ((ref.head + i) & (old_cap - 1));
-      pool.id[nb + i] = pool.id[from];
-      pool.destination[nb + i] = pool.destination[from];
-      pool.created[nb + i] = pool.created[from];
-      pool.hops[nb + i] = pool.hops[from];
-      if constexpr (Timed) {
-        pool.ready[nb + i] = pool.ready[from];
-      }
+      segment[i] = ref.base[(ref.head + i) & (old_cap - 1)];
     }
-    ref.base = nb;
+    ref.base = segment;
     ref.head = 0;
     ref.cap = new_cap;
   }

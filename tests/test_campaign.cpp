@@ -745,7 +745,7 @@ TEST(CampaignRunnerTest, ShardsPartitionTheGridAndMergeToFullOutputs) {
 TEST(CampaignRunnerTest, LargeCompressedWdmCellRunsEndToEnd) {
   // The wdm_scale shape at test size: a >= 10^4-processor stack-Kautz
   // cell on the sharded engine with compressed routes, end to end
-  // through spec -> grid -> runner -> sinks. The dense table (~1.5 GB)
+  // through spec -> grid -> runner -> sinks. The dense table (~1 GB)
   // is never materialized.
   CampaignSpec spec;
   spec.name = "wdm-scale-cell";
@@ -1314,6 +1314,107 @@ TEST(CampaignRunnerTest, SketchLatencyModeRunsTheGrid) {
   EXPECT_EQ(report.completed_cells, 1);
   const std::string jsonl = read_file(dir.path() / CampaignRunner::kJsonlFile);
   EXPECT_NE(jsonl.find("\"p95_latency\""), std::string::npos);
+}
+
+/// A plausible open-loop row: 48 nodes, 36 couplers, 100 slots, W = 2.
+campaign::CellResult good_row() {
+  campaign::CellResult r;
+  r.cell.id = "synthetic|cell";
+  r.cell.wavelengths = 2;
+  r.nodes = 48;
+  r.couplers = 36;
+  r.metrics.slots = 100;
+  r.metrics.offered_packets = 1500;
+  r.metrics.delivered_packets = 1400;
+  r.metrics.coupler_transmissions = 3000;
+  r.metrics.collisions = 40;
+  r.metrics.backlog = 100;
+  r.metrics.latency.record(1);
+  r.metrics.latency.record(4);
+  return r;
+}
+
+/// check_row must reject `r`, naming the cell and `field`.
+void expect_row_rejected(const campaign::CellResult& r,
+                         const std::string& field) {
+  try {
+    campaign::check_row(r);
+    ADD_FAILURE() << "row accepted; expected a complaint about " << field;
+  } catch (const core::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(r.cell.id), std::string::npos) << what;
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+  }
+}
+
+TEST(CheckRowTest, AcceptsAPlausibleRow) {
+  EXPECT_NO_THROW(campaign::check_row(good_row()));
+  campaign::CellResult closed = good_row();
+  closed.cell.workload.kind = campaign::WorkloadKind::kBsp;
+  closed.workload_completed = true;
+  closed.metrics.backlog = 0;
+  closed.metrics.delivered_packets = closed.metrics.offered_packets;
+  EXPECT_NO_THROW(campaign::check_row(closed));
+  // A closed loop cut off by the slot bound may end with a backlog.
+  campaign::CellResult cut = good_row();
+  cut.cell.workload.kind = campaign::WorkloadKind::kBsp;
+  EXPECT_NO_THROW(campaign::check_row(cut));
+}
+
+TEST(CheckRowTest, RejectsEachBrokenInvariant) {
+  campaign::CellResult r = good_row();
+  r.metrics.latency = sim::LatencyStats();
+  r.metrics.latency.record(0);
+  expect_row_rejected(r, "latency");
+
+  r = good_row();
+  r.metrics.delivered_packets = -1;
+  expect_row_rejected(r, "throughput_per_node");
+
+  // More than one packet per node-slot is fine (warm-up backlog, bursty
+  // workloads) as long as every delivery ended a transmission.
+  r = good_row();
+  r.metrics.coupler_transmissions = 6000;
+  r.metrics.delivered_packets = 48 * 100 + 1;
+  EXPECT_NO_THROW(campaign::check_row(r));
+  r.metrics.delivered_packets = r.metrics.coupler_transmissions + 1;
+  expect_row_rejected(r, "delivered");
+
+  r = good_row();
+  r.metrics.coupler_transmissions = 36 * 100 * 2 + 1;
+  expect_row_rejected(r, "coupler_utilization_per_wavelength");
+
+  r = good_row();
+  r.metrics.collisions = 36 * 100 + 1;
+  expect_row_rejected(r, "collisions_per_coupler_slot");
+
+  r = good_row();
+  r.metrics.coupler_transmissions = -5;
+  expect_row_rejected(r, "coupler_utilization_per_wavelength");
+
+  r = good_row();
+  r.metrics.collisions = -5;
+  expect_row_rejected(r, "collisions_per_coupler_slot");
+
+  r = good_row();
+  r.metrics.coupler_transmissions = 10;
+  r.metrics.collisions = -6;
+  r.metrics.slots = 0;
+  expect_row_rejected(r, "transmission_success");
+
+  r = good_row();
+  r.cell.workload.kind = campaign::WorkloadKind::kBsp;
+  r.workload_completed = true;
+  r.metrics.delivered_packets = r.metrics.offered_packets;
+  r.metrics.backlog = 3;
+  expect_row_rejected(r, "backlog");
+
+  r = good_row();
+  r.cell.workload.kind = campaign::WorkloadKind::kBsp;
+  r.workload_completed = true;
+  r.metrics.backlog = 0;
+  r.metrics.delivered_packets = r.metrics.offered_packets - 1;
+  expect_row_rejected(r, "delivered");
 }
 
 }  // namespace

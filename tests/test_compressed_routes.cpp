@@ -10,20 +10,26 @@
 //    RunMetrics and coupler-success vectors on the phased, sharded (all
 //    thread counts) and event-queue engines;
 //  - non-group-factored routers are rejected, not silently compressed;
+//  - neither view stores a next-coupler table: the derived next_coupler
+//    (first out-coupler of the node + next_slot) equals the compiling
+//    router's choice on every (node, dest) pair, -1 where next_slot is;
 //  - the memory model: a >= 10^4-node stack-Kautz compresses to under
-//    1/50 of the dense footprint (the ISSUE acceptance bound).
+//    1/50 of the dense footprint.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/rng.hpp"
 #include "hypergraph/pops.hpp"
 #include "hypergraph/stack_imase_itoh.hpp"
 #include "hypergraph/stack_kautz.hpp"
 #include "routing/compiled_routes.hpp"
 #include "routing/compressed_routes.hpp"
+#include "routing/generic_stack_routing.hpp"
 #include "routing/stack_routing.hpp"
 #include "sim/metrics.hpp"
 #include "sim/ops_network.hpp"
@@ -296,9 +302,92 @@ TEST(CompressedRoutes, AutoRouteTableFlipsAtTheThreshold) {
             sim::RouteTable::kCompressed);
 }
 
+/// The derived next coupler of `view` against `router` at (v, d). Off
+/// the diagonal it must be the router's choice. On it the dense view
+/// answers -1; the compressed view answers its same-group decision,
+/// which for s >= 2 is the router's choice toward another copy of v's
+/// group, and -1 (with next_slot -1) for s == 1.
+template <class View, class Router>
+void expect_derived_next_coupler(const hypergraph::StackGraph& stack,
+                                 const View& view, const Router& router,
+                                 hypergraph::Node v, hypergraph::Node d) {
+  const hypergraph::HyperarcId got = view.next_coupler(v, d);
+  EXPECT_EQ(got < 0, view.next_slot(v, d) < 0) << "v=" << v << " d=" << d;
+  if (v != d) {
+    ASSERT_EQ(got, router.next_coupler(v, d)) << "v=" << v << " d=" << d;
+    return;
+  }
+  const std::int64_t s = stack.stacking_factor();
+  if (std::is_same_v<View, routing::CompiledRoutes> || s < 2) {
+    ASSERT_EQ(got, -1) << "v=" << v;
+    return;
+  }
+  const hypergraph::Node sibling =
+      stack.node_of(stack.project(v), (stack.copy_index(v) + 1) % s);
+  ASSERT_EQ(got, router.next_coupler(v, sibling)) << "v=" << v;
+}
+
+template <class Router>
+void expect_derived_next_coupler_everywhere(
+    const hypergraph::StackGraph& stack, const routing::CompiledRoutes& dense,
+    const routing::CompressedRoutes& compressed, const Router& router) {
+  for (hypergraph::Node v = 0; v < stack.node_count(); ++v) {
+    for (hypergraph::Node d = 0; d < stack.node_count(); ++d) {
+      expect_derived_next_coupler(stack, dense, router, v, d);
+      expect_derived_next_coupler(stack, compressed, router, v, d);
+    }
+  }
+}
+
+TEST(Routes, DerivedNextCouplerMatchesRouter) {
+  {
+    SCOPED_TRACE("SK(4,3,2)");
+    hypergraph::StackKautz sk(4, 3, 2);
+    expect_derived_next_coupler_everywhere(
+        sk.stack(), routing::compile_stack_kautz_routes(sk),
+        routing::compress_stack_kautz_routes(sk),
+        routing::StackKautzRouter(sk));
+  }
+  {
+    SCOPED_TRACE("POPS(4,2)");
+    hypergraph::Pops pops(4, 2);
+    expect_derived_next_coupler_everywhere(
+        pops.stack(), routing::compile_pops_routes(pops),
+        routing::compress_pops_routes(pops), routing::PopsRouter(pops));
+  }
+  {
+    SCOPED_TRACE("SII(4,2,12)");
+    hypergraph::StackImaseItoh sii(4, 2, 12);
+    expect_derived_next_coupler_everywhere(
+        sii.stack(), routing::compile_stack_imase_itoh_routes(sii),
+        routing::compress_stack_imase_itoh_routes(sii),
+        routing::GenericStackRouter(sii.stack()));
+  }
+  {
+    // SK(10,10,3), 11000 nodes: the dense tables (~1 GB) are not built;
+    // the compressed view is checked on sampled pairs plus the diagonal
+    // of the first group.
+    SCOPED_TRACE("SK(10,10,3) sampled");
+    hypergraph::StackKautz sk(10, 10, 3);
+    const routing::CompressedRoutes compressed =
+        routing::compress_stack_kautz_routes(sk);
+    const routing::StackKautzRouter router(sk);
+    core::Rng rng(17);
+    const auto n = static_cast<std::uint64_t>(sk.processor_count());
+    for (int i = 0; i < 20000; ++i) {
+      const auto v = static_cast<hypergraph::Node>(rng.uniform(n));
+      const auto d = static_cast<hypergraph::Node>(rng.uniform(n));
+      expect_derived_next_coupler(sk.stack(), compressed, router, v, d);
+    }
+    for (hypergraph::Node v = 0; v < sk.stacking_factor(); ++v) {
+      expect_derived_next_coupler(sk.stack(), compressed, router, v, v);
+    }
+  }
+}
+
 TEST(CompressedRoutes, LargeStackKautzCompressesBelowFiftiethOfDense) {
   // SK(10, 10, 3): N = 11000 processors, G = 1100 groups. The dense
-  // table would be ~1.5 GB and is never built; the compressed one is a
+  // table would be ~1 GB and is never built; the compressed one is a
   // few MB, compiled from the router at group granularity.
   hypergraph::StackKautz sk(10, 10, 3);
   ASSERT_EQ(sk.processor_count(), 11000);

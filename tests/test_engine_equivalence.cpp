@@ -438,6 +438,75 @@ detail::FeedIndex feeds_of(const hypergraph::DirectedHypergraph& hg,
   return feed;
 }
 
+/// Checks every VOQ's packed feed record against the position a
+/// brute-force search of its coupler's feed list finds, and that
+/// marking the VOQ sets exactly that request bit.
+void expect_voq_feeds_match(const hypergraph::DirectedHypergraph& hg) {
+  std::vector<std::int64_t> voq_base;
+  const detail::FeedIndex feed = feeds_of(hg, voq_base);
+  ASSERT_EQ(feed.voq_feed.size(),
+            static_cast<std::size_t>(voq_base.back()));
+  for (hypergraph::Node v = 0; v < hg.node_count(); ++v) {
+    for (std::int64_t slot = 0; slot < hg.out_degree(v); ++slot) {
+      const hypergraph::HyperarcId h =
+          hg.out_hyperarcs(v)[static_cast<std::size_t>(slot)];
+      const hypergraph::CouplerFeed cf = hg.coupler_feed(h);
+      std::int64_t position = -1;
+      for (std::int64_t si = 0; si < cf.count; ++si) {
+        if (cf.source[si] == v && cf.slot[si] == slot) {
+          position = si;
+        }
+      }
+      ASSERT_GE(position, 0) << "v=" << v << " slot=" << slot;
+      const std::size_t qi =
+          static_cast<std::size_t>(voq_base[static_cast<std::size_t>(v)] +
+                                   slot);
+      const detail::VoqFeed f = feed.voq_feed[qi];
+      EXPECT_EQ(f.coupler, h);
+      EXPECT_EQ(f.word,
+                feed.mask_base[static_cast<std::size_t>(h)] + position / 64);
+      EXPECT_EQ(f.bit, static_cast<std::uint32_t>(position % 64));
+
+      detail::OccupancyMasks masks;
+      masks.init(feed);
+      masks.mark_nonempty(feed, qi);
+      for (std::size_t w = 0; w < masks.request.size(); ++w) {
+        const std::uint64_t want =
+            static_cast<std::int64_t>(w) == f.word
+                ? std::uint64_t{1} << (position % 64)
+                : 0;
+        ASSERT_EQ(masks.request[w], want) << "qi=" << qi << " word=" << w;
+      }
+      masks.mark_empty(feed, qi);
+      for (const std::uint64_t word : masks.active) {
+        ASSERT_EQ(word, 0u) << "qi=" << qi;
+      }
+    }
+  }
+}
+
+TEST(FeedIndex, VoqFeedMatchesCouplerFeeds) {
+  {
+    SCOPED_TRACE("SK(4,3,2)");
+    expect_voq_feeds_match(hypergraph::StackKautz(4, 3, 2).stack().hypergraph());
+  }
+  {
+    SCOPED_TRACE("POPS(4,2)");
+    expect_voq_feeds_match(hypergraph::Pops(4, 2).stack().hypergraph());
+  }
+  {
+    SCOPED_TRACE("SII(4,2,12)");
+    expect_voq_feeds_match(
+        hypergraph::StackImaseItoh(4, 2, 12).stack().hypergraph());
+  }
+  {
+    // 72 feeds per coupler: request positions past bit 63 spill into a
+    // coupler's second mask word.
+    SCOPED_TRACE("POPS(72,2)");
+    expect_voq_feeds_match(hypergraph::Pops(72, 2).stack().hypergraph());
+  }
+}
+
 TEST(ShardPlan, FeedLocalBlocksInCouplerOrder) {
   hypergraph::StackKautz sk(4, 3, 2);
   const hypergraph::DirectedHypergraph& hg = sk.stack().hypergraph();

@@ -1,11 +1,14 @@
-// Unit tests for the SoA VOQ arena backing the slot engines: FIFO
+// Unit tests for the record VOQ arena backing the slot engines: FIFO
 // order, ring wraparound, segment growth (abandon-and-double), many
-// queues interleaved in one pool, per-shard pools, and the timed
-// arena's front_ready fast path -- each checked against a
-// std::deque<Entry> reference model under a randomized op sequence.
+// queues interleaved in one pool, segments carved across many blocks,
+// per-shard pools, and the timed arena's whole 32-byte records (front,
+// pop_front, front_ready and for_each_entry) through wrap and growth --
+// each checked against a std::deque<Entry> reference model under a
+// randomized op sequence.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -17,7 +20,7 @@ namespace otis::sim {
 namespace {
 
 VoqEntry make_entry(std::int64_t id) {
-  return VoqEntry{id, id * 3 + 1, id * 7 + 2,
+  return VoqEntry{id, id * 7 + 2, static_cast<std::int32_t>(id * 3 + 1),
                   static_cast<std::int32_t>(id % 5)};
 }
 
@@ -117,6 +120,36 @@ TEST(VoqArena, RandomizedParityAgainstDequeAcrossManyQueues) {
   }
 }
 
+TEST(VoqArena, SegmentsStayValidAcrossManyBlocks) {
+  // 600 queues grown to ~128 records each carve ~150k records from one
+  // pool, several times the smallest block: segments carved from early
+  // blocks must keep their entries while later blocks are added.
+  constexpr std::size_t kQueues = 600;
+  VoqArena arena;
+  arena.init(kQueues);
+  std::vector<std::deque<VoqEntry>> model(kQueues);
+  core::Rng rng(5);
+  std::int64_t next = 0;
+  for (int op = 0; op < 200000; ++op) {
+    const std::size_t q = static_cast<std::size_t>(rng.uniform(kQueues));
+    if (model[q].empty() || rng.bernoulli(0.6)) {
+      const VoqEntry e = make_entry(next++);
+      arena.push(q, e);
+      model[q].push_back(e);
+    } else {
+      expect_entry_eq(arena.pop_front(q), model[q].front());
+      model[q].pop_front();
+    }
+  }
+  for (std::size_t q = 0; q < kQueues; ++q) {
+    ASSERT_EQ(arena.size(q), model[q].size());
+    while (!model[q].empty()) {
+      expect_entry_eq(arena.pop_front(q), model[q].front());
+      model[q].pop_front();
+    }
+  }
+}
+
 TEST(VoqArena, PerShardPoolsGrowIndependently) {
   // Queues assigned to different pools (the sharded engines' layout):
   // growth in one pool must not disturb entries living in another.
@@ -187,6 +220,71 @@ TEST(TimedVoqArena, FrontReadyMatchesFrontThroughWrapAndGrowth) {
       model.pop_front();
     }
     ASSERT_EQ(arena.size(1), model.size());
+  }
+}
+
+void expect_timed_eq(const TimedVoqEntry& a, const TimedVoqEntry& b) {
+  EXPECT_EQ(a.id, b.id);
+  EXPECT_EQ(a.destination, b.destination);
+  EXPECT_EQ(a.created, b.created);
+  EXPECT_EQ(a.hops, b.hops);
+  EXPECT_EQ(a.ready, b.ready);
+}
+
+TEST(TimedVoqArena, WholeRecordsSurviveWrapAndGrowthAcrossPools) {
+  // Twelve queues over three pools; pushes outnumber pops, so every
+  // queue wraps at each capacity and grows through several doublings
+  // while its neighbours grow the same pool. Every field of every
+  // record is compared, at the head and across the whole queue.
+  constexpr std::size_t kQueues = 12;
+  constexpr std::size_t kPools = 3;
+  TimedVoqArena arena;
+  arena.init(kQueues, kPools);
+  for (std::size_t q = 0; q < kQueues; ++q) {
+    arena.set_pool(q, static_cast<std::uint32_t>(q % kPools));
+  }
+  std::vector<std::deque<TimedVoqEntry>> model(kQueues);
+  core::Rng rng(23);
+  std::int64_t next = 0;
+  std::size_t peak = 0;
+  for (int op = 0; op < 30000; ++op) {
+    const std::size_t q = static_cast<std::size_t>(rng.uniform(kQueues));
+    if (model[q].empty() || rng.bernoulli(0.55)) {
+      TimedVoqEntry e;
+      e.id = next;
+      e.destination = -next - 1;
+      e.created = next * 5 + 3;
+      e.hops = static_cast<std::int32_t>(next % 9) - 4;
+      e.ready = next * 13 + 1;
+      ++next;
+      arena.push(q, e);
+      model[q].push_back(e);
+    } else {
+      ASSERT_EQ(arena.front_ready(q), model[q].front().ready);
+      expect_timed_eq(arena.front(q), model[q].front());
+      expect_timed_eq(arena.pop_front(q), model[q].front());
+      model[q].pop_front();
+    }
+    ASSERT_EQ(arena.size(q), model[q].size());
+    peak = std::max(peak, model[q].size());
+    if (op % 997 == 0) {
+      std::size_t i = 0;
+      arena.for_each_entry(q, [&](const TimedVoqEntry& e) {
+        ASSERT_LT(i, model[q].size());
+        expect_timed_eq(e, model[q][i++]);
+      });
+      EXPECT_EQ(i, model[q].size());
+    }
+  }
+  // Several doublings past the initial segment.
+  EXPECT_GT(peak,
+            8 * static_cast<std::size_t>(TimedVoqArena::kInitialCapacity));
+  for (std::size_t q = 0; q < kQueues; ++q) {
+    while (!model[q].empty()) {
+      expect_timed_eq(arena.pop_front(q), model[q].front());
+      model[q].pop_front();
+    }
+    EXPECT_TRUE(arena.empty(q));
   }
 }
 
